@@ -46,6 +46,7 @@ from .optimize import (
     objective,
     optimize,
     optimize_n,
+    scan_csv,
     scan_equator,
     trio_is_degenerate,
 )
@@ -115,6 +116,9 @@ def resolve_set(spec: str) -> InputSet:
             delta = math.radians(float(spec.split(":", 1)[1]))
         except ValueError:
             raise UsageError(f"bad pair spec {spec!r}; expected pair:<degrees>")
+        # NaN fails the comparison too
+        if not 0.0 < delta < TWO_PI:
+            raise UsageError(f"pair angle in {spec!r} must be finite and in (0, 360) degrees")
         return equatorial_pair(delta)
     if spec.startswith("equator:"):
         try:
@@ -126,11 +130,22 @@ def resolve_set(spec: str) -> InputSet:
         pts = [BlochPoint(math.pi / 2.0, k * TWO_PI / count) for k in range(count)]
         return custom(pts, label=spec)
     if spec.lstrip().startswith("{"):
-        return InputSet.from_json(spec)
+        return _set_from_json(spec, "inline JSON")
     if os.path.exists(spec):
-        with open(spec) as fh:
-            return InputSet.from_json(fh.read())
+        try:
+            with open(spec) as fh:
+                text = fh.read()
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"cannot read input set file {spec!r}: {exc}")
+        return _set_from_json(text, spec)
     raise UsageError(f"unknown input set {spec!r}")
+
+
+def _set_from_json(text: str, source: str) -> InputSet:
+    try:
+        return InputSet.from_json(text)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"bad input set in {source}: {type(exc).__name__}: {exc}")
 
 
 def resolve_machine(name: str) -> Cloner:
@@ -248,7 +263,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         doc["bound_comparison"] = {"expected": expected, "max_deviation": worst}
         ok = ok and worst < VERIFY_TOL
     doc["passed"] = bool(ok)
-    manifest = _manifest(args, {"machine": args.machine, "set": args.set}, 0, t0)
+    manifest = _manifest(args, {"machine": args.machine, "set": args.set}, args.seed, t0)
     _write_outputs(args.out, _dumps(doc), manifest)
     return EXIT_OK if ok else EXIT_SELF_CHECK
 
@@ -257,8 +272,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # optimize
 
 
+def _require_positive(flag: str, value: int) -> None:
+    if value < 1:
+        raise UsageError(f"{flag} {value} must be >= 1")
+
+
 def _config_from_args(args: argparse.Namespace) -> OptimizationConfig:
     mode = {"maxmin": "max_min", "equalfid": "equal_fidelity_penalty"}[args.mode]
+    _require_positive("--restarts", args.restarts)
+    _require_positive("--ancilla-dim", args.ancilla_dim)
     ancilla_dim = args.ancilla_dim
     if args.economic and ancilla_dim != 1:
         raise UsageError("--economic contradicts --ancilla-dim > 1")
@@ -330,27 +352,29 @@ def cmd_scan(args: argparse.Namespace) -> int:
     cfg = OptimizationConfig(
         mode="equal_fidelity_penalty", symmetric=True, seed=args.seed
     )
-    rows: list[tuple[float, float, float, bool]] = []
+    cells_done: list[tuple[int, int, float]] = []
     phis = [k * 360.0 / args.resolution for k in range(args.resolution)]
 
     def progress(i: int, j: int, value: float) -> None:
-        p2, p3 = math.radians(phis[i]), math.radians(phis[j])
-        rows.append((phis[i], phis[j], value, trio_is_degenerate(p2, p3)))
+        cells_done.append((i, j, value))
         if args.budget and time.time() - t0 > args.budget:
             raise _BudgetExceeded
-
-    def rows_to_csv() -> str:
-        out = ["phi2_deg,phi3_deg,fidelity,degenerate"]
-        for p2, p3, f, deg in rows:
-            out.append(f"{p2:.6f},{p3:.6f},{f:.12f},{'true' if deg else 'false'}")
-        return "\n".join(out) + "\n"
 
     try:
         grid = scan_equator(args.resolution, cfg, progress=progress)
     except _BudgetExceeded:
         manifest = _manifest(args, {"resolution": args.resolution}, cfg.seed, t0)
         manifest["note"] = f"budget of {args.budget}s exceeded; CSV is partial"
-        _write_outputs(args.out, rows_to_csv(), manifest)
+        partial = scan_csv(
+            (
+                phis[i],
+                phis[j],
+                value,
+                trio_is_degenerate(math.radians(phis[i]), math.radians(phis[j])),
+            )
+            for i, j, value in cells_done
+        )
+        _write_outputs(args.out, partial, manifest)
         return EXIT_BUDGET
 
     cells = grid.minimum_cells()
@@ -393,6 +417,7 @@ def cmd_nclone(args: argparse.Namespace) -> int:
     t0 = time.time()
     if not 2 <= args.n <= 8:
         raise UsageError(f"--n {args.n} outside 2..8")
+    _require_positive("--restarts", args.restarts)
     cfg = OptimizationConfig(copies=args.n, restarts=args.restarts, seed=args.seed)
     res = optimize_n(cfg)
     bound = closed_form_bound("phase_1ton", args.n)
@@ -437,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=None, help="RNG seed (default: CLONEBENCH_SEED or 0)")
         p.add_argument("--out", default=None, help="output path (manifest written alongside)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("verify", help="check a known machine against its closed-form values")
     p.add_argument("--machine", required=True, help="pqcm-economic | pqcm-ancilla | uqcm | nclone:<n>")
@@ -452,6 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--economic", action="store_true")
     p.add_argument("--ancilla-dim", type=int, default=1)
     p.add_argument("--restarts", type=int, default=200)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     common(p)
     p.set_defaults(func=cmd_optimize)
 

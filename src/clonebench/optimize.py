@@ -14,7 +14,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
@@ -81,20 +81,23 @@ class ScanGrid:
         return [tuple(map(int, ij)) for ij in cells]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["phi2_deg", "phi3_deg", "fidelity", "degenerate"])
-        for i, p2 in enumerate(self.phi2_values):
-            for j, p3 in enumerate(self.phi3_values):
-                writer.writerow(
-                    [
-                        f"{math.degrees(p2):.6f}",
-                        f"{math.degrees(p3):.6f}",
-                        f"{self.fidelity[i, j]:.12f}",
-                        "true" if self.degenerate_mask[i, j] else "false",
-                    ]
-                )
-        return buf.getvalue()
+        return scan_csv(
+            (math.degrees(p2), math.degrees(p3), self.fidelity[i, j], self.degenerate_mask[i, j])
+            for i, p2 in enumerate(self.phi2_values)
+            for j, p3 in enumerate(self.phi3_values)
+        )
+
+
+def scan_csv(rows: Iterable[tuple[float, float, float, bool]]) -> str:
+    """CSV text of scan cells given as (phi2_deg, phi3_deg, fidelity, degenerate)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["phi2_deg", "phi3_deg", "fidelity", "degenerate"])
+    for p2, p3, fidelity, degenerate in rows:
+        writer.writerow(
+            [f"{p2:.6f}", f"{p3:.6f}", f"{fidelity:.12f}", "true" if degenerate else "false"]
+        )
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +389,22 @@ def trio_is_degenerate(phi2: float, phi3: float) -> bool:
     return False
 
 
+def _orbit_key(i: int, j: int, resolution: int) -> tuple[int, ...]:
+    """Sorted arc gaps of the phase indices {0, i, j} on the resolution-point
+    circle. Cells share a key exactly when they are images of each other under
+    swapping phi2 and phi3, relabeling the reference state, and complex
+    conjugation, all of which leave the best objective unchanged."""
+    a, b = sorted((i, j))
+    return tuple(sorted((a, b - a, resolution - b)))
+
+
 def scan_config(cfg: OptimizationConfig | None = None) -> OptimizationConfig:
-    """Per-cell search configuration: the equal-fidelity/symmetric conditions
-    with a cheaper restart schedule (neighbor warm starts cover the rest)."""
+    """Per-orbit search configuration: the equal-fidelity/symmetric conditions
+    with a cheaper restart schedule (warm starts from the orbits solved just
+    before cover the rest)."""
     if cfg is None:
         cfg = OptimizationConfig(mode="equal_fidelity_penalty", symmetric=True)
-    return replace(cfg, restarts=min(cfg.restarts, 6), tol=1e-3, max_iters=min(cfg.max_iters, 300))
+    return replace(cfg, restarts=min(cfg.restarts, 6), tol=1e-3, max_iters=min(cfg.max_iters, 600))
 
 
 def scan_equator(
@@ -400,30 +413,35 @@ def scan_equator(
     progress=None,
 ) -> ScanGrid:
     """Grid of best objectives for trios {0, phi2, phi3} over a square grid
-    of phases in [0, 360) degrees."""
+    of phases in [0, 360) degrees.
+
+    One search runs per orbit of the trio-phase symmetry group, at its first
+    cell in row-major order; every other cell of the orbit copies that value,
+    so the grid is exactly symmetric. `progress(i, j, value)` still fires once
+    per cell in row-major order."""
     if resolution < 8:
         raise ValueError("resolution must be >= 8")
     cfg = scan_config(cfg)
     phis = np.linspace(0.0, TWO_PI, resolution, endpoint=False)
     grid = np.zeros((resolution, resolution))
     mask = np.zeros((resolution, resolution), dtype=bool)
-    row_best: list[np.ndarray | None] = [None] * resolution
-    prev: np.ndarray | None = None
+    solved: dict[tuple[int, ...], tuple[float, bool]] = {}
+    warm: list[np.ndarray] = []  # raw parameters of the last two orbits solved
     for i, p2 in enumerate(phis):
         for j, p3 in enumerate(phis):
-            mask[i, j] = trio_is_degenerate(p2, p3)
-            # deterministic warm starts from the left and upper neighbors,
-            # then the per-cell pseudo-random streams keyed on (seed, index)
-            warm = [x for x in (prev, row_best[j]) if x is not None]
-            res = optimize(
-                _trio_set(p2, p3),
-                cfg,
-                _stream=(cfg.seed, i * resolution + j),
-                _extra_starts=warm,
-            )
-            grid[i, j] = res.objective
-            prev = np.asarray(res.raw_params)
-            row_best[j] = prev
+            key = _orbit_key(i, j, resolution)
+            if key not in solved:
+                # the orbit's pseudo-random stream is keyed on (seed, index)
+                # of its first cell
+                res = optimize(
+                    _trio_set(p2, p3),
+                    cfg,
+                    _stream=(cfg.seed, i * resolution + j),
+                    _extra_starts=warm,
+                )
+                solved[key] = (res.objective, trio_is_degenerate(p2, p3))
+                warm = [np.asarray(res.raw_params), *warm[:1]]
+            grid[i, j], mask[i, j] = solved[key]
             if progress is not None:
                 progress(i, j, grid[i, j])
     return ScanGrid(

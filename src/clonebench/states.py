@@ -26,7 +26,10 @@ class BlochPoint:
     def __post_init__(self):
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError(f"theta={self.theta} outside [0, pi]")
-        phi = float(self.phi) % TWO_PI
+        phi = float(self.phi)
+        if not math.isfinite(phi):
+            raise ValueError(f"phi={phi} is not finite")
+        phi %= TWO_PI
         object.__setattr__(self, "theta", float(self.theta))
         object.__setattr__(self, "phi", phi)
 
@@ -79,6 +82,8 @@ class InputSet:
     def from_json(cls, text: str) -> "InputSet":
         doc = json.loads(text)
         points = tuple(BlochPoint(q["theta"], q["phi"]) for q in doc["points"])
+        if not isinstance(doc["label"], str):
+            raise TypeError("label must be a string")
         return cls(label=doc["label"], points=points)
 
 

@@ -6,6 +6,8 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clonebench.cli import main, resolve_machine, resolve_set
 from clonebench.states import equatorial_trio
@@ -170,3 +172,83 @@ def test_nclone_n2(tmp_path, capsys):
 
 def test_nclone_out_of_range_exit_2(capsys):
     assert main(["nclone", "--n", "9"]) == 2
+
+
+def run_cli(argv):
+    """Exit code of a CLI call, including argparse's own exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--set", '{"bad":1}'],
+        ["optimize", "--set", "pair:0"],
+        ["optimize", "--set", "pair:nan"],
+        ["optimize", "--set", '{"label": 5, "points": [{"theta": 1.0, "phi": 0.0}]}'],
+        ["optimize", "--set", "."],  # a path that exists but is no file
+        ["optimize", "--set", "trio", "--restarts", "0"],
+        ["optimize", "--set", "trio", "--restarts", "-3"],
+        ["optimize", "--set", "trio", "--ancilla-dim", "0"],
+        ["nclone", "--n", "2", "--restarts", "0"],
+    ],
+)
+def test_malformed_input_exits_2(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+_SET_SPECS = st.one_of(
+    st.sampled_from(["trio", ".", "{", "pair:", "pair:360", "equator:", "equator:0"]),
+    st.builds("pair:{}".format, st.one_of(st.floats(), st.integers(-400, 400), st.text(max_size=4))),
+    st.builds("equator:{}".format, st.one_of(st.integers(-2, 70), st.text(max_size=4))),
+    st.builds(
+        json.dumps,
+        st.dictionaries(
+            st.sampled_from(["label", "points", "theta", "phi"]),
+            st.one_of(
+                st.text(max_size=3),
+                st.floats(),
+                st.lists(
+                    st.dictionaries(
+                        st.sampled_from(["theta", "phi"]),
+                        st.one_of(st.floats(), st.integers(), st.text(max_size=2)),
+                    ),
+                    max_size=3,
+                ),
+            ),
+        ),
+    ),
+    st.text(max_size=8),
+)
+
+
+@settings(deadline=None, max_examples=20)
+@given(spec=_SET_SPECS)
+def test_optimize_set_fuzz_keeps_the_exit_code_contract(spec):
+    assert run_cli(["optimize", f"--set={spec}", "--restarts", "1"]) in (0, 2, 3, 4)
+
+
+def test_verify_manifest_records_the_seed(tmp_path, capsys):
+    out = tmp_path / "verify.json"
+    argv = ["verify", "--machine", "uqcm", "--set", "trio", "--seed", "5", "--out", str(out)]
+    assert main(argv) == 0
+    assert read_json(str(out) + ".manifest.json")["seed"] == 5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--machine", "uqcm", "--set", "trio"],
+        ["scan", "--resolution", "8"],
+        ["nclone", "--n", "2"],
+    ],
+)
+def test_format_is_rejected_where_unimplemented(argv, capsys):
+    assert run_cli([*argv, "--format", "csv"]) == 2
+    assert "--format" in capsys.readouterr().err

@@ -6,6 +6,7 @@ restart budgets and check mechanics, determinism, and formats.
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import clonebench.optimize as optimize_module
 from clonebench.cloners import economic_pqcm, to_isometry
 from clonebench.optimize import (
     OptimizationConfig,
@@ -173,3 +175,47 @@ def test_scan_csv_format(scan8):
     assert first[0] == "0.000000" and first[1] == "0.000000"
     assert len(first[2].split(".")[1]) == 12
     assert first[3] in ("true", "false")
+
+
+def test_scan_grid_is_exactly_symmetric(scan8):
+    # images of every cell under swapping phi2 and phi3, relabeling the
+    # reference state, and complex conjugation
+    r = scan8.resolution
+    i, j = np.indices((r, r))
+    for pi, pj in ((j, i), (-i % r, (j - i) % r), (-i % r, -j % r)):
+        assert np.array_equal(scan8.fidelity, scan8.fidelity[pi, pj])
+        assert np.array_equal(scan8.degenerate_mask, scan8.degenerate_mask[pi, pj])
+
+
+@pytest.fixture
+def fake_search(monkeypatch):
+    """Replaces the search the scan calls with one that records its calls."""
+    calls = []
+
+    def fake(input_set, cfg, _stream=None, _extra_starts=()):
+        calls.append((_stream, len(_extra_starts)))
+        return SimpleNamespace(objective=float(len(calls)), raw_params=(0.0,) * 12)
+
+    monkeypatch.setattr(optimize_module, "optimize", fake)
+    return calls
+
+
+@pytest.mark.parametrize("resolution, orbits", [(8, 10), (9, 12)])
+def test_scan_searches_once_per_orbit(fake_search, resolution, orbits):
+    grid = scan_equator(resolution)
+    assert len(fake_search) == orbits
+    # each orbit is searched at its first cell in row-major order, with that
+    # cell's stream and warm starts from the two orbits solved before it
+    firsts = {}
+    for i in range(resolution):
+        for j in range(resolution):
+            firsts.setdefault(grid.fidelity[i, j], i * resolution + j)
+    assert [stream for stream, _ in fake_search] == [(0, firsts[k + 1.0]) for k in range(orbits)]
+    assert [warm for _, warm in fake_search] == [0, 1] + [2] * (orbits - 2)
+
+
+def test_scan_progress_fires_per_cell_in_row_major_order(fake_search):
+    seen = []
+    grid = scan_equator(9, progress=lambda i, j, value: seen.append((i, j, value)))
+    assert [(i, j) for i, j, _ in seen] == [(i, j) for i in range(9) for j in range(9)]
+    assert [value for _, _, value in seen] == grid.fidelity.ravel().tolist()
