@@ -3,9 +3,14 @@
 Constraints are handled by construction: raw real parameters are read as two
 complex output columns, Gram-Schmidt orthonormalized, and (optionally)
 embedded from the symmetric subspace, so every iterate is a valid isometry.
-Local descent is Nelder-Mead with independent random restarts; the hard min
-objective is smoothed with a log-sum-exp during the search and the exact
-objective is re-evaluated for reporting.
+
+Every copy fidelity is a Hermitian form in the two columns (Fiurasek, PRA 64,
+062310, 2001). With y the real and imaginary parts of the stacked columns,
+F_n = y^T R_n y for a real symmetric stack R built once per input set, so one
+evaluation is one stacked matrix product and its gradient is 2 R_n y, pulled
+back through the Gram-Schmidt step. Local descent is L-BFGS with independent
+random restarts; the hard min objective is smoothed with a log-sum-exp during
+the search and the exact objective is re-evaluated for reporting.
 """
 
 from __future__ import annotations
@@ -20,9 +25,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .cloners import CloneIsometry, SymmetricNCloner, to_isometry
-from .fidelity import n_clone_fidelity
 from .qlinalg import DegenerateColumnsError, sym_basis
-from .states import TWO_PI, BlochPoint, InputSet, bloch_to_state
+from .states import TWO_PI, BlochPoint, InputSet
 
 SMOOTH_SHARPNESS = 500.0  # log-sum-exp softening of the hard min
 DEGENERATE_OVERLAP = 1.0 - 1e-9  # two states this close count as coinciding
@@ -142,6 +146,23 @@ def _columns_from_params(params: np.ndarray, d_eff: int) -> np.ndarray:
     return q
 
 
+def _columns_gradient(params: np.ndarray, q: np.ndarray, grad_y: np.ndarray) -> np.ndarray:
+    """Pull a gradient in the stacked columns (`_stack(q)` layout) back
+    through `_columns_from_params` to the raw parameters."""
+    d = q.shape[0]
+    g = (grad_y[: 2 * d] + 1j * grad_y[2 * d :]).reshape(2, d)  # d/dRe + i d/dIm
+    z = (params[: 2 * d] + 1j * params[2 * d :]).reshape(2, d)
+    # forward: z0 = n0 q0 and z1 = alpha q0 + n1 q1
+    r = q.conj().T @ z.T
+    n0, alpha, n1 = r[0, 0].real, r[0, 1], r[1, 1].real
+    q0, q1 = q.T
+    g_w = (g[1] - q1 * np.vdot(q1, g[1]).real) / n1  # w = n1 q1 = z1 - alpha q0
+    g_q0 = g[0] - alpha.conjugate() * g_w - np.vdot(g_w, q0) * z[1]
+    g_z0 = (g_q0 - q0 * np.vdot(q0, g_q0).real) / n0
+    g_z = np.concatenate([g_z0, g_w - q0 * np.vdot(q0, g_w)])
+    return np.concatenate([g_z.real, g_z.imag])
+
+
 def parameterize(
     params: np.ndarray,
     copies: int = 2,
@@ -157,25 +178,57 @@ def parameterize(
 
 
 # ---------------------------------------------------------------------------
-# fast fidelity evaluation (1 -> 2)
+# fidelity kernel: each fidelity is a real quadratic form in the columns
 
 
-def _pair_fidelities(matrix: np.ndarray, psis: np.ndarray, ancilla_dim: int) -> np.ndarray:
-    """Per-copy fidelities of a 1->2 isometry for a batch of input states.
+def _stack(q: np.ndarray) -> np.ndarray:
+    """Real coordinates y = [Re v; Im v] of the stacked columns v = [q0; q1]."""
+    v = q.T.ravel()
+    return np.concatenate([v.real, v.imag])
 
-    psis has shape (2, m); the result is (2, m) with row 0 = copy A.
-    F_copy = || <psi| projected onto that copy of the output ||^2.
-    """
-    m = psis.shape[1]
-    out = matrix @ psis  # (4 * anc, m)
-    t = out.reshape(2, 2, ancilla_dim, m)
-    pc = psis.conj()
-    wa = pc[0, None, :] * t[0] + pc[1, None, :] * t[1]  # (2, anc, m)
-    wb = pc[0, None, :] * t[:, 0] + pc[1, None, :] * t[:, 1]
-    fids = np.empty((2, m))
-    fids[0] = (wa.real**2 + wa.imag**2).sum(axis=(0, 1))
-    fids[1] = (wb.real**2 + wb.imag**2).sum(axis=(0, 1))
-    return fids
+
+def _real_forms(h: np.ndarray) -> np.ndarray:
+    """Real symmetric forms R with y^T R y = v^dag H v for a Hermitian stack H."""
+    return np.block([[h.real, -h.imag], [h.imag, h.real]])
+
+
+def _copy_forms(psis: np.ndarray, embed: np.ndarray, ancilla_dim: int) -> np.ndarray:
+    """Forms of the copy fidelities of the 1->2 machine embed @ q on the
+    states in the columns of psis: copy A of every state, then copy B."""
+    hs = []
+    for copy in range(2):
+        for psi in psis.T:
+            pp = np.outer(psi, psi.conj())
+            if copy == 0:
+                proj = np.kron(pp, np.eye(2 * ancilla_dim))
+            else:
+                proj = np.kron(np.eye(2), np.kron(pp, np.eye(ancilla_dim)))
+            # the output on psi is embed @ q @ psi, and q @ psi = (psi^T x I) v
+            hs.append(np.kron(pp.conj(), embed.conj().T @ proj @ embed))
+    return _real_forms(np.array(hs))
+
+
+def _n_clone_forms(n: int, phases: Sequence[float]) -> np.ndarray:
+    """Forms of the single-copy fidelities of a symmetric 1->n machine on the
+    equatorial inputs at `phases`: F = v^dag (I + K + K^dag) v / 4 with
+    v = [a; b], the closed form of `n_clone_fidelity`."""
+    i = np.arange(n)
+    w = np.sqrt((n - i) * (i + 1.0)) / n
+    hs = []
+    for phi in phases:
+        eip = complex(math.cos(phi), math.sin(phi))
+        k = np.zeros((2 * n + 2, 2 * n + 2), dtype=complex)
+        k[i + 1, i] = w * eip  # a_{i+1}^* a_i
+        k[n + 2 + i, n + 1 + i] = w * eip  # b_{i+1}^* b_i
+        k[n + 2 + i, i] = w  # b_{i+1}^* a_i
+        k[i + 1, n + 1 + i] = w * eip * eip  # a_{i+1}^* b_i
+        hs.append((np.eye(2 * n + 2) + k + k.conj().T) / 4.0)
+    return _real_forms(np.array(hs))
+
+
+def _fidelities(forms: np.ndarray, q: np.ndarray) -> np.ndarray:
+    y = _stack(q)
+    return (forms @ y) @ y
 
 
 def _exact_objective(fids: np.ndarray, mode: str, penalty_weight: float) -> float:
@@ -184,12 +237,18 @@ def _exact_objective(fids: np.ndarray, mode: str, penalty_weight: float) -> floa
     return float(fids.mean() - penalty_weight * fids.var())
 
 
-def _smooth_objective(fids: np.ndarray, mode: str, penalty_weight: float) -> float:
+def _smooth_objective(fids: np.ndarray, mode: str, penalty_weight: float):
+    """Smoothed objective and its gradient in the fidelities."""
     if mode == "max_min":
-        beta = SMOOTH_SHARPNESS
-        flat = fids.ravel()
-        return float(-(np.log(np.exp(-beta * (flat - flat.min())).sum()) / beta) + flat.min())
-    return float(fids.mean() - penalty_weight * fids.var())
+        lo = fids.min()
+        e = np.exp(-SMOOTH_SHARPNESS * (fids - lo))
+        total = e.sum()
+        return lo - math.log(total) / SMOOTH_SHARPNESS, e / total
+    dev = fids - fids.mean()
+    return (
+        fids.mean() - penalty_weight * (dev @ dev) / fids.size,
+        (1.0 - 2.0 * penalty_weight * dev) / fids.size,
+    )
 
 
 def objective(
@@ -200,44 +259,50 @@ def objective(
 ) -> float:
     """Exact objective of a machine on a set under the given mode."""
     psis = np.column_stack(input_set.states())
-    fids = _pair_fidelities(v.matrix, psis, v.ancilla_dim)
-    return _exact_objective(fids, mode, penalty_weight)
+    forms = _copy_forms(psis, np.eye(4 * v.ancilla_dim), v.ancilla_dim)
+    return _exact_objective(_fidelities(forms, v.matrix), mode, penalty_weight)
 
 
 # ---------------------------------------------------------------------------
 # search
 
 
-def _canonical_modulus_key(matrix: np.ndarray) -> tuple:
-    # gauge-invariant tie-break key: entry moduli rounded to 1e-9
-    return tuple(np.round(np.abs(matrix).ravel(), 9))
-
-
 def _run_restarts(
-    evaluate_exact,
-    evaluate_smooth,
-    n_params: int,
+    forms: np.ndarray,
+    d_eff: int,
     cfg: OptimizationConfig,
     stream: tuple[int, ...] | None = None,
-    polish: bool = True,
     extra_starts: Sequence[np.ndarray] = (),
 ):
-    """Shared multistart driver; returns (best_x, best_value, hits).
+    """Shared multistart driver over the fidelity forms; returns (best_x, hits).
 
-    evaluate_* map a raw parameter vector to a scalar to maximize;
-    infeasible draws evaluate to -inf and Nelder-Mead walks away from them.
+    Each start gets one L-BFGS descent on the smoothed objective, and the
+    winner by exact objective one more to polish it. Degenerate draws
+    evaluate to +inf and are dropped.
     """
 
     def neg_smooth(x):
         try:
-            return -evaluate_smooth(x)
+            q = _columns_from_params(x, d_eff)
         except DegenerateColumnsError:
-            return np.inf
+            return math.inf, np.zeros_like(x)
+        y = _stack(q)
+        ry = forms @ y
+        value, weights = _smooth_objective(ry @ y, cfg.mode, cfg.penalty_weight)
+        return -value, -_columns_gradient(x, q, 2.0 * (weights @ ry))
+
+    def exact(x):
+        return _exact_objective(
+            _fidelities(forms, _columns_from_params(x, d_eff)), cfg.mode, cfg.penalty_weight
+        )
+
+    def tiebreak_key(x):
+        # gauge-invariant: moduli of the columns rounded to 1e-9
+        return tuple(np.round(np.abs(_columns_from_params(x, d_eff)).ravel(), 9))
 
     # exploration restarts only need to identify the best basin; the winner
     # is polished to full precision afterwards
-    explore_maxfev = min(cfg.max_iters, 50 * n_params)
-    explore_fatol = max(cfg.tol, 1e-6)
+    explore_opts = {"maxiter": cfg.max_iters, "ftol": max(cfg.tol, 1e-6)}
     best_x = None
     best_val = -np.inf
     best_key = None
@@ -246,22 +311,11 @@ def _run_restarts(
     starts = [np.asarray(x0, dtype=float) for x0 in extra_starts]
     for r in range(cfg.restarts):
         rng = np.random.default_rng([*stream, r])
-        starts.append(rng.standard_normal(n_params))
+        starts.append(rng.standard_normal(4 * d_eff))
     for x0 in starts:
-        res = minimize(
-            neg_smooth,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": cfg.max_iters,
-                "maxfev": explore_maxfev,
-                "xatol": 1e-4,
-                "fatol": explore_fatol,
-                "adaptive": n_params > 16,
-            },
-        )
+        res = minimize(neg_smooth, x0, jac=True, method="L-BFGS-B", options=explore_opts)
         try:
-            val = evaluate_exact(res.x)
+            val = exact(res.x)
         except DegenerateColumnsError:
             continue
         values.append(val)
@@ -270,42 +324,22 @@ def _run_restarts(
         elif best_x is not None and abs(val - best_val) <= 1e-9:
             # deterministic tie-break: smallest modulus vector wins
             if best_key is None:
-                best_key = _tiebreak_key(evaluate_exact, best_x)
-            key = _tiebreak_key(evaluate_exact, res.x)
+                best_key = tiebreak_key(best_x)
+            key = tiebreak_key(res.x)
             if key < best_key:
                 best_x, best_val, best_key = res.x, val, key
     if best_x is None:
         raise RuntimeError("all restarts failed (degenerate parameter draws)")
     # restarts whose exploration value reached the winning basin
     hits = sum(1 for v in values if v >= best_val - 1e-4)
-    if polish:
-        x = best_x
-        polish_iters = max(cfg.max_iters, 2000)
-        # quadratic optima: parameter accuracy sqrt(tol) gives value accuracy tol
-        tight = cfg.tol <= 1e-6
-        polish_opts = {
-            "maxiter": polish_iters,
-            "xatol": 1e-10 if tight else 1e-5,
-            "fatol": min(cfg.tol, 1e-12) if tight else 1e-11,
-        }
-        if not tight:
-            polish_opts["maxfev"] = 1200
-        for _ in range(3 if tight else 2):
-            res = minimize(neg_smooth, x, method="Nelder-Mead", options=polish_opts)
-            x = res.x
-        try:
-            val = evaluate_exact(x)
-            if val >= best_val:
-                best_x, best_val = x, val
-        except DegenerateColumnsError:
-            pass
-    return best_x, best_val, hits
-
-
-def _tiebreak_key(evaluate_exact, x):
-    # the exact evaluator caches the last isometry on itself
-    evaluate_exact(x)
-    return _canonical_modulus_key(evaluate_exact.last_matrix)
+    polish_opts = {"maxiter": max(cfg.max_iters, 2000), "ftol": 1e-15, "gtol": 1e-12}
+    res = minimize(neg_smooth, best_x, jac=True, method="L-BFGS-B", options=polish_opts)
+    try:
+        if exact(res.x) >= best_val:
+            best_x = res.x
+    except DegenerateColumnsError:
+        pass
+    return best_x, hits
 
 
 def optimize(
@@ -314,41 +348,21 @@ def optimize(
     _stream: tuple[int, ...] | None = None,
     _extra_starts: Sequence[np.ndarray] = (),
 ) -> OptimizationResult:
-    """Best machine found for the set over random-restart Nelder-Mead."""
+    """Best machine found for the set over random-restart L-BFGS."""
     if cfg.copies != 2:
         raise ValueError("optimize handles 1->2 machines; use optimize_n for 1->n")
     psis = np.column_stack(input_set.states())
     d_eff = effective_dim(2, cfg.symmetric, cfg.ancilla_dim)
-    embed = _sym_embedding(2, cfg.ancilla_dim) if cfg.symmetric else None
-
-    def matrix_of(x):
-        q = _columns_from_params(x, d_eff)
-        return embed @ q if embed is not None else q
-
-    def fids_of(x):
-        return _pair_fidelities(matrix_of(x), psis, cfg.ancilla_dim)
-
-    def evaluate_exact(x):
-        mat = matrix_of(x)
-        evaluate_exact.last_matrix = mat
-        return _exact_objective(
-            _pair_fidelities(mat, psis, cfg.ancilla_dim), cfg.mode, cfg.penalty_weight
-        )
-
-    def evaluate_smooth(x):
-        return _smooth_objective(fids_of(x), cfg.mode, cfg.penalty_weight)
-
-    n_params = 4 * d_eff
-    best_x, best_val, hits = _run_restarts(
-        evaluate_exact, evaluate_smooth, n_params, cfg, stream=_stream, extra_starts=_extra_starts
-    )
-    best = parameterize(best_x, copies=2, symmetric=cfg.symmetric, ancilla_dim=cfg.ancilla_dim)
-    fids = _pair_fidelities(best.matrix, psis, cfg.ancilla_dim)
+    embed = _sym_embedding(2, cfg.ancilla_dim) if cfg.symmetric else np.eye(d_eff)
+    forms = _copy_forms(psis, embed, cfg.ancilla_dim)
+    best_x, hits = _run_restarts(forms, d_eff, cfg, stream=_stream, extra_starts=_extra_starts)
+    q = _columns_from_params(best_x, d_eff)
+    fids = _fidelities(forms, q).reshape(2, -1)
     per_state = tuple(
         (s, k, float(fids[k, s])) for s in range(len(input_set)) for k in range(2)
     )
     return OptimizationResult(
-        best=best,
+        best=CloneIsometry(embed @ q, copies=2, ancilla_dim=cfg.ancilla_dim),
         per_state_fidelities=per_state,
         objective=_exact_objective(fids, cfg.mode, cfg.penalty_weight),
         spread=float(fids.max() - fids.min()),
@@ -467,37 +481,15 @@ def optimize_n(cfg: OptimizationConfig) -> OptimizationResult:
     n = cfg.copies
     if not 2 <= n <= 8:
         raise ValueError(f"copies={n} outside 2..8")
-    d_eff = n + 1
-    phases = np.asarray(TRIO_PHASES)
-
-    def machine_of(x):
-        q = _columns_from_params(x, d_eff)
-        return SymmetricNCloner(n=n, a=tuple(q[:, 0]), b=tuple(q[:, 1]))
-
-    def fids_of(x):
-        mach = machine_of(x)
-        return np.array([[n_clone_fidelity(mach, p) for p in phases]])
-
-    def evaluate_exact(x):
-        q = _columns_from_params(x, d_eff)
-        evaluate_exact.last_matrix = q
-        mach = SymmetricNCloner(n=n, a=tuple(q[:, 0]), b=tuple(q[:, 1]))
-        fids = np.array([[n_clone_fidelity(mach, p) for p in phases]])
-        return _exact_objective(fids, cfg.mode, cfg.penalty_weight)
-
-    def evaluate_smooth(x):
-        return _smooth_objective(fids_of(x), cfg.mode, cfg.penalty_weight)
-
-    best_x, best_val, hits = _run_restarts(evaluate_exact, evaluate_smooth, 4 * d_eff, cfg)
-    mach = machine_of(best_x)
-    fids = np.array([n_clone_fidelity(mach, p) for p in phases])
-    per_state = tuple((s, 0, float(fids[s])) for s in range(3))
+    forms = _n_clone_forms(n, TRIO_PHASES)
+    best_x, hits = _run_restarts(forms, n + 1, cfg)
+    q = _columns_from_params(best_x, n + 1)
+    mach = SymmetricNCloner(n=n, a=tuple(q[:, 0]), b=tuple(q[:, 1]))
+    fids = _fidelities(forms, q)
     return OptimizationResult(
         best=to_isometry(mach),
-        per_state_fidelities=per_state,
-        objective=float(fids.min()) if cfg.mode == "max_min" else _exact_objective(
-            fids[None, :], cfg.mode, cfg.penalty_weight
-        ),
+        per_state_fidelities=tuple((s, 0, float(fids[s])) for s in range(3)),
+        objective=_exact_objective(fids, cfg.mode, cfg.penalty_weight),
         spread=float(fids.max() - fids.min()),
         restarts_hitting_best=hits,
         seed=cfg.seed,

@@ -145,8 +145,9 @@ def test_scan_resolution_8(tmp_path, capsys):
 
 
 def test_scan_budget_exceeded(tmp_path, capsys):
+    # a budget far below the time of one cell, so the scan stops after its first
     out = tmp_path / "scan.csv"
-    code = main(["scan", "--resolution", "8", "--budget", "0.5", "--out", str(out)])
+    code = main(["scan", "--resolution", "8", "--budget", "1e-6", "--out", str(out)])
     assert code == 4
     manifest = read_json(str(out) + ".manifest.json")
     assert "exceeded" in manifest["note"]
@@ -168,6 +169,16 @@ def test_nclone_n2(tmp_path, capsys):
     assert doc["parity"] == "even"
     assert abs(doc["objective"] - F_PHASE) < 1e-4
     assert doc["oracle_delta"] < 1e-10
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_nclone_reaches_the_parity_bound_at_default_restarts(tmp_path, capsys, n):
+    out = tmp_path / "nclone.json"
+    assert main(["nclone", "--n", str(n), "--out", str(out)]) == 0
+    doc = read_json(out)
+    assert abs(doc["objective"] - doc["bound"]) < 1e-4
+    if n <= 6:
+        assert doc["oracle_delta"] < 1e-10
 
 
 def test_nclone_out_of_range_exit_2(capsys):

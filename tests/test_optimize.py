@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import clonebench.optimize as optimize_module
-from clonebench.cloners import economic_pqcm, to_isometry
+from clonebench.cloners import SymmetricNCloner, economic_pqcm, to_isometry
+from clonebench.fidelity import copy_fidelity, n_clone_fidelity
 from clonebench.optimize import (
     OptimizationConfig,
     effective_dim,
@@ -28,7 +29,14 @@ from clonebench.optimize import (
     trio_is_degenerate,
 )
 from clonebench.qlinalg import DegenerateColumnsError
-from clonebench.states import TWO_PI, equatorial_trio, equatorial_pair
+from clonebench.states import (
+    TWO_PI,
+    BlochPoint,
+    InputSet,
+    equatorial_pair,
+    equatorial_trio,
+    tetrahedron,
+)
 
 F_PHASE = 0.5 + math.sqrt(2.0) / 4.0
 
@@ -72,6 +80,85 @@ def test_parameterize_symmetric_embeds_in_full_space():
 def test_parameterize_rejects_wrong_size():
     with pytest.raises(ValueError):
         parameterize(np.zeros(7))
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("ancilla_dim", [1, 2, 4])
+def test_copy_forms_match_the_density_matrix_oracle(symmetric, ancilla_dim):
+    rng = np.random.default_rng(ancilla_dim + 10 * symmetric)
+    angles = zip(rng.uniform(0.0, math.pi, 5), rng.uniform(0.0, TWO_PI, 5))
+    points = [BlochPoint(theta, phi) for theta, phi in angles]
+    psis = np.column_stack(InputSet("random", tuple(points)).states())
+    d_eff = effective_dim(2, symmetric, ancilla_dim)
+    embed = optimize_module._sym_embedding(2, ancilla_dim) if symmetric else np.eye(d_eff)
+    forms = optimize_module._copy_forms(psis, embed, ancilla_dim)
+    for _ in range(5):
+        x = rng.standard_normal(4 * d_eff)
+        fids = optimize_module._fidelities(forms, optimize_module._columns_from_params(x, d_eff))
+        v = parameterize(x, symmetric=symmetric, ancilla_dim=ancilla_dim)
+        oracle = [copy_fidelity(v, p, copy) for copy in range(2) for p in points]
+        np.testing.assert_allclose(fids, oracle, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_n_clone_forms_match_the_closed_form(n):
+    rng = np.random.default_rng(n)
+    phases = rng.uniform(0.0, TWO_PI, 6)
+    forms = optimize_module._n_clone_forms(n, phases)
+    for _ in range(5):
+        q = optimize_module._columns_from_params(rng.standard_normal(4 * (n + 1)), n + 1)
+        machine = SymmetricNCloner(n=n, a=tuple(q[:, 0]), b=tuple(q[:, 1]))
+        np.testing.assert_allclose(
+            optimize_module._fidelities(forms, q),
+            [n_clone_fidelity(machine, phi) for phi in phases],
+            rtol=0.0,
+            atol=1e-12,
+        )
+
+
+@pytest.fixture
+def recorded_minimize(monkeypatch):
+    """Records (objective, result) of every local search the driver runs."""
+    calls = []
+    minimize = optimize_module.minimize
+
+    def recording(fun, x0, **kwargs):
+        res = minimize(fun, x0, **kwargs)
+        calls.append((fun, res))
+        return res
+
+    monkeypatch.setattr(optimize_module, "minimize", recording)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["max_min", "equal_fidelity_penalty"])
+@pytest.mark.parametrize(
+    "input_set, ancilla_dim", [(equatorial_trio(), 1), (tetrahedron(), 2)]
+)
+def test_search_gradient_matches_central_differences(
+    recorded_minimize, mode, input_set, ancilla_dim
+):
+    cfg = OptimizationConfig(
+        restarts=1, mode=mode, ancilla_dim=ancilla_dim, economic=ancilla_dim == 1
+    )
+    optimize(input_set, cfg)
+    fun = recorded_minimize[0][0]
+    rng = np.random.default_rng(3)
+    h = 1e-6
+    for _ in range(3):
+        x = rng.standard_normal(4 * effective_dim(2, False, ancilla_dim))
+        _, grad = fun(x)
+        steps = np.eye(x.size) * h
+        central = [(fun(x + e)[0] - fun(x - e)[0]) / (2.0 * h) for e in steps]
+        np.testing.assert_allclose(grad, central, rtol=0.0, atol=1e-7)
+
+
+def test_scan_exploration_restarts_converge(recorded_minimize):
+    cfg = scan_config()
+    optimize(equatorial_trio(), cfg)
+    # one local search per start, then one polish of the winner
+    assert len(recorded_minimize) == cfg.restarts + 1
+    assert all(res.success for _, res in recorded_minimize[: cfg.restarts])
 
 
 def test_objective_of_known_machine():
