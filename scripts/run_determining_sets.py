@@ -15,20 +15,20 @@ from clonebench.optimize import OptimizationConfig, optimize
 from clonebench.states import bb84, equatorial_trio, six_state, tetrahedron
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--restarts", type=int, default=200)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", help="optional JSON output path")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     f_phase = closed_form_bound("phase_1to2")
     f_universal = closed_form_bound("universal_1to2")
     jobs = [
         (equatorial_trio(), f_phase, dict(symmetric=True)),
         (bb84(), f_phase, dict(symmetric=True)),
-        (tetrahedron(), f_universal, dict(symmetric=True, economic=False, ancilla_dim=2)),
-        (six_state(), f_universal, dict(symmetric=True, economic=False, ancilla_dim=2)),
+        (tetrahedron(), f_universal, dict(symmetric=True, ancilla_dim=2)),
+        (six_state(), f_universal, dict(symmetric=True, ancilla_dim=2)),
     ]
     rows = []
     print(f"{'set':<12} {'objective':>14} {'target':>10} {'gap':>10} {'spread':>9}")

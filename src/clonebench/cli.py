@@ -281,15 +281,13 @@ def _config_from_args(args: argparse.Namespace) -> OptimizationConfig:
     mode = {"maxmin": "max_min", "equalfid": "equal_fidelity_penalty"}[args.mode]
     _require_positive("--restarts", args.restarts)
     _require_positive("--ancilla-dim", args.ancilla_dim)
-    ancilla_dim = args.ancilla_dim
-    if args.economic and ancilla_dim != 1:
+    if args.economic and args.ancilla_dim != 1:
         raise UsageError("--economic contradicts --ancilla-dim > 1")
     return OptimizationConfig(
         restarts=args.restarts,
         mode=mode,
         symmetric=args.symmetric,
-        economic=(ancilla_dim == 1),
-        ancilla_dim=ancilla_dim,
+        ancilla_dim=args.ancilla_dim,
         seed=args.seed,
     )
 
@@ -330,7 +328,7 @@ def _public_config(cfg: OptimizationConfig) -> dict:
         "restarts": cfg.restarts,
         "mode": cfg.mode,
         "symmetric": cfg.symmetric,
-        "economic": cfg.economic,
+        "economic": cfg.ancilla_dim == 1,
         "ancilla_dim": cfg.ancilla_dim,
         "copies": cfg.copies,
         "seed": cfg.seed,
@@ -349,6 +347,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
     t0 = time.time()
     if args.resolution < 8:
         raise UsageError(f"resolution {args.resolution} must be >= 8")
+    # NaN fails the comparison too
+    if not 0.0 <= args.budget < math.inf:
+        raise UsageError(f"--budget {args.budget} must be finite and >= 0")
     cfg = OptimizationConfig(
         mode="equal_fidelity_penalty", symmetric=True, seed=args.seed
     )
@@ -500,6 +501,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.seed is None:
             args.seed = _default_seed()
+        if args.seed < 0:
+            raise UsageError(f"seed {args.seed} must be >= 0")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -77,12 +77,6 @@ def _polar(z: complex) -> tuple[float, float, bool]:
     return mag, cmath.phase(z) % TWO_PI, True
 
 
-def _decomposition_from_z(z2: complex, z1: complex, lam3: float) -> FidelityDecomposition:
-    lam1, psi1, ok1 = _polar(z2)
-    lam2, psi2, ok2 = _polar(z1)
-    return FidelityDecomposition(lam1, lam2, lam3, psi1, psi2, ok1, ok2)
-
-
 def _ancilla_view(c: Union[EconomicCloner, AncillaCloner], copy: int):
     """Coefficients and ancilla kets (a..h, A..H) for the requested copy.
 
@@ -120,83 +114,9 @@ def decompose_equatorial(c: Union[EconomicCloner, AncillaCloner], copy: int = 0)
         + f * np.conj(h) * ov(H, F)
     )
     lam3 = 0.5 + 0.5 * float(np.real(a * np.conj(g) * ov(G, A) + b * np.conj(h) * ov(H, B)))
-    return _decomposition_from_z(complex(z2), complex(z1), lam3)
-
-
-def decompose_cone(
-    c: Union[EconomicCloner, AncillaCloner], theta: float, copy: int = 0
-) -> FidelityDecomposition:
-    """lambda/psi record along a fixed latitude theta of the Bloch sphere.
-
-    At theta = pi/2 this reduces to decompose_equatorial (the extra cross
-    terms cancel through the column-orthogonality constraint).
-    """
-    if not 0.0 < theta < math.pi:
-        raise ValueError(f"theta={theta} is degenerate (poles excluded)")
-    report = constraint_check(c)
-    if not report.passed:
-        raise InvalidMachineError(f"constraint residuals too large: {report.as_dict()}")
-    (a, b, cc, d, e, f, g, h), (A, B, C, D, E, F, G, H) = _ancilla_view(c, copy)
-    ov = np.vdot
-    co = math.cos(theta / 2.0)
-    si = math.sin(theta / 2.0)
-    z2 = 2.0 * co**2 * si**2 * (e * np.conj(cc) * ov(C, E) + f * np.conj(d) * ov(D, F))
-    g1 = (
-        e * np.conj(a) * ov(A, E)
-        + f * np.conj(b) * ov(B, F)
-        + a * np.conj(cc) * ov(C, A)
-        + b * np.conj(d) * ov(D, B)
-    )
-    g2 = (
-        g * np.conj(cc) * ov(C, G)
-        + h * np.conj(d) * ov(D, H)
-        + e * np.conj(g) * ov(G, E)
-        + f * np.conj(h) * ov(H, F)
-    )
-    z1 = 2.0 * (co**3 * si * g1 + co * si**3 * g2)
-    lam3 = (
-        (abs(a) ** 2 + abs(b) ** 2) * co**4
-        + (abs(g) ** 2 + abs(h) ** 2) * si**4
-        + (abs(e) ** 2 + abs(f) ** 2 + abs(cc) ** 2 + abs(d) ** 2) * co**2 * si**2
-        + 2.0
-        * co**2
-        * si**2
-        * float(np.real(a * np.conj(g) * ov(G, A) + b * np.conj(h) * ov(H, B)))
-    )
-    return _decomposition_from_z(complex(z2), complex(z1), lam3)
-
-
-@dataclass(frozen=True)
-class CovarianceReport:
-    """Max pairwise fidelity gap over the given phases; for the exact
-    120-degree trio the two phase-covariance conditions
-    (lambda1 sin psi1 = lambda2 sin psi2, lambda1 cos psi1 + lambda2 cos psi2 = 0)
-    are reported as well."""
-
-    spread: float
-    trio_sin_residual: float | None = None
-    trio_cos_residual: float | None = None
-
-
-def _is_trio(phis: Sequence[float]) -> bool:
-    if len(phis) != 3:
-        return False
-    target = sorted((0.0, TWO_PI / 3.0, 2.0 * TWO_PI / 3.0))
-    return all(abs(p - t) < 1e-12 for p, t in zip(sorted(float(x) % TWO_PI for x in phis), target))
-
-
-def covariance_residual(d: FidelityDecomposition, phis: Sequence[float]) -> CovarianceReport:
-    phis = list(phis)
-    if not phis:
-        raise ValueError("phis must be nonempty")
-    vals = d.evaluate(np.asarray(phis, dtype=float))
-    vals = np.atleast_1d(vals)
-    spread = float(vals.max() - vals.min())
-    if _is_trio(phis):
-        sin_res = abs(d.lambda1 * math.sin(d.psi1) - d.lambda2 * math.sin(d.psi2))
-        cos_res = abs(d.lambda1 * math.cos(d.psi1) + d.lambda2 * math.cos(d.psi2))
-        return CovarianceReport(spread, sin_res, cos_res)
-    return CovarianceReport(spread)
+    lam1, psi1, ok1 = _polar(complex(z2))
+    lam2, psi2, ok2 = _polar(complex(z1))
+    return FidelityDecomposition(lam1, lam2, lam3, psi1, psi2, ok1, ok2)
 
 
 # ---------------------------------------------------------------------------

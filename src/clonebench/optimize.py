@@ -11,6 +11,11 @@ evaluation is one stacked matrix product and its gradient is 2 R_n y, pulled
 back through the Gram-Schmidt step. Local descent is L-BFGS with independent
 random restarts; the hard min objective is smoothed with a log-sum-exp during
 the search and the exact objective is re-evaluated for reporting.
+
+A search is set by OptimizationConfig: restarts, the exploration tolerance,
+the objective mode, the parameterization (symmetric, ancilla_dim, copies) and
+the seed. No iteration cap is set: descents stop on the tolerance, far inside
+scipy's default cap.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .qlinalg import DegenerateColumnsError, sym_basis
 from .states import TWO_PI, BlochPoint, InputSet
 
 SMOOTH_SHARPNESS = 500.0  # log-sum-exp softening of the hard min
+PENALTY_WEIGHT = 100.0  # weight of the fidelity variance in equal_fidelity_penalty
 DEGENERATE_OVERLAP = 1.0 - 1e-9  # two states this close count as coinciding
 TRIO_PHASES = (0.0, TWO_PI / 3.0, 2.0 * TWO_PI / 3.0)
 
@@ -36,23 +42,16 @@ TRIO_PHASES = (0.0, TWO_PI / 3.0, 2.0 * TWO_PI / 3.0)
 @dataclass(frozen=True)
 class OptimizationConfig:
     restarts: int = 200
-    tol: float = 1e-9  # objective-improvement tolerance of the local search
-    max_iters: int = 4000  # per restart
+    tol: float = 1e-6  # objective-improvement tolerance of the exploration restarts
     mode: str = "max_min"  # or "equal_fidelity_penalty"
-    penalty_weight: float = 100.0
     symmetric: bool = False
-    economic: bool = True
-    ancilla_dim: int = 1
+    ancilla_dim: int = 1  # 1 is the economic (ancilla-free) machine
     copies: int = 2
     seed: int = 0
 
     def __post_init__(self):
         if self.mode not in ("max_min", "equal_fidelity_penalty"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.penalty_weight <= 0:
-            raise ValueError("penalty_weight must be positive")
-        if self.economic != (self.ancilla_dim == 1):
-            raise ValueError("economic is equivalent to ancilla_dim == 1")
         if self.ancilla_dim < 1:
             raise ValueError("ancilla_dim must be >= 1")
 
@@ -231,13 +230,13 @@ def _fidelities(forms: np.ndarray, q: np.ndarray) -> np.ndarray:
     return (forms @ y) @ y
 
 
-def _exact_objective(fids: np.ndarray, mode: str, penalty_weight: float) -> float:
+def _exact_objective(fids: np.ndarray, mode: str) -> float:
     if mode == "max_min":
         return float(fids.min())
-    return float(fids.mean() - penalty_weight * fids.var())
+    return float(fids.mean() - PENALTY_WEIGHT * fids.var())
 
 
-def _smooth_objective(fids: np.ndarray, mode: str, penalty_weight: float):
+def _smooth_objective(fids: np.ndarray, mode: str):
     """Smoothed objective and its gradient in the fidelities."""
     if mode == "max_min":
         lo = fids.min()
@@ -246,21 +245,18 @@ def _smooth_objective(fids: np.ndarray, mode: str, penalty_weight: float):
         return lo - math.log(total) / SMOOTH_SHARPNESS, e / total
     dev = fids - fids.mean()
     return (
-        fids.mean() - penalty_weight * (dev @ dev) / fids.size,
-        (1.0 - 2.0 * penalty_weight * dev) / fids.size,
+        fids.mean() - PENALTY_WEIGHT * (dev @ dev) / fids.size,
+        (1.0 - 2.0 * PENALTY_WEIGHT * dev) / fids.size,
     )
 
 
-def objective(
-    v: CloneIsometry,
-    input_set: InputSet,
-    mode: str = "max_min",
-    penalty_weight: float = 100.0,
-) -> float:
-    """Exact objective of a machine on a set under the given mode."""
+def objective(v: CloneIsometry, input_set: InputSet, mode: str = "max_min") -> float:
+    """Exact objective of a 1->2 machine on a set under the given mode."""
+    if v.copies != 2:
+        raise ValueError(f"objective handles 1->2 machines, got {v.copies} copies")
     psis = np.column_stack(input_set.states())
     forms = _copy_forms(psis, np.eye(4 * v.ancilla_dim), v.ancilla_dim)
-    return _exact_objective(_fidelities(forms, v.matrix), mode, penalty_weight)
+    return _exact_objective(_fidelities(forms, v.matrix), mode)
 
 
 # ---------------------------------------------------------------------------
@@ -288,13 +284,11 @@ def _run_restarts(
             return math.inf, np.zeros_like(x)
         y = _stack(q)
         ry = forms @ y
-        value, weights = _smooth_objective(ry @ y, cfg.mode, cfg.penalty_weight)
+        value, weights = _smooth_objective(ry @ y, cfg.mode)
         return -value, -_columns_gradient(x, q, 2.0 * (weights @ ry))
 
     def exact(x):
-        return _exact_objective(
-            _fidelities(forms, _columns_from_params(x, d_eff)), cfg.mode, cfg.penalty_weight
-        )
+        return _exact_objective(_fidelities(forms, _columns_from_params(x, d_eff)), cfg.mode)
 
     def tiebreak_key(x):
         # gauge-invariant: moduli of the columns rounded to 1e-9
@@ -302,7 +296,7 @@ def _run_restarts(
 
     # exploration restarts only need to identify the best basin; the winner
     # is polished to full precision afterwards
-    explore_opts = {"maxiter": cfg.max_iters, "ftol": max(cfg.tol, 1e-6)}
+    explore_opts = {"ftol": cfg.tol}
     best_x = None
     best_val = -np.inf
     best_key = None
@@ -332,7 +326,7 @@ def _run_restarts(
         raise RuntimeError("all restarts failed (degenerate parameter draws)")
     # restarts whose exploration value reached the winning basin
     hits = sum(1 for v in values if v >= best_val - 1e-4)
-    polish_opts = {"maxiter": max(cfg.max_iters, 2000), "ftol": 1e-15, "gtol": 1e-12}
+    polish_opts = {"ftol": 1e-15, "gtol": 1e-12}
     res = minimize(neg_smooth, best_x, jac=True, method="L-BFGS-B", options=polish_opts)
     try:
         if exact(res.x) >= best_val:
@@ -364,7 +358,7 @@ def optimize(
     return OptimizationResult(
         best=CloneIsometry(embed @ q, copies=2, ancilla_dim=cfg.ancilla_dim),
         per_state_fidelities=per_state,
-        objective=_exact_objective(fids, cfg.mode, cfg.penalty_weight),
+        objective=_exact_objective(fids, cfg.mode),
         spread=float(fids.max() - fids.min()),
         restarts_hitting_best=hits,
         seed=cfg.seed,
@@ -380,8 +374,7 @@ def ancilla_sweep(
         raise ValueError("dims must be nonempty")
     out = []
     for dim in dims:
-        sub = replace(cfg, ancilla_dim=int(dim), economic=(int(dim) == 1))
-        out.append((int(dim), optimize(input_set, sub).objective))
+        out.append((int(dim), optimize(input_set, replace(cfg, ancilla_dim=int(dim))).objective))
     return out
 
 
@@ -418,7 +411,7 @@ def scan_config(cfg: OptimizationConfig | None = None) -> OptimizationConfig:
     before cover the rest)."""
     if cfg is None:
         cfg = OptimizationConfig(mode="equal_fidelity_penalty", symmetric=True)
-    return replace(cfg, restarts=min(cfg.restarts, 6), tol=1e-3, max_iters=min(cfg.max_iters, 600))
+    return replace(cfg, restarts=min(cfg.restarts, 6), tol=1e-3)
 
 
 def scan_equator(
@@ -489,7 +482,7 @@ def optimize_n(cfg: OptimizationConfig) -> OptimizationResult:
     return OptimizationResult(
         best=to_isometry(mach),
         per_state_fidelities=tuple((s, 0, float(fids[s])) for s in range(3)),
-        objective=_exact_objective(fids, cfg.mode, cfg.penalty_weight),
+        objective=_exact_objective(fids, cfg.mode),
         spread=float(fids.max() - fids.min()),
         restarts_hitting_best=hits,
         seed=cfg.seed,

@@ -7,25 +7,9 @@ from typing import Sequence
 
 import numpy as np
 
-STATE_ATOL = 1e-12
-
 
 class DegenerateColumnsError(ValueError):
     """Columns are numerically linearly dependent; caller should resample."""
-
-
-def tensor(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Kronecker product of two kets, first factor varying slowest."""
-    return np.kron(np.asarray(u, dtype=complex), np.asarray(v, dtype=complex))
-
-
-def outer(s: np.ndarray) -> np.ndarray:
-    """Rank-1 density matrix |s><s| of a unit state."""
-    s = np.asarray(s, dtype=complex)
-    norm = np.linalg.norm(s)
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"outer() expects a unit state, got norm {norm!r}")
-    return np.outer(s, s.conj())
 
 
 def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
@@ -70,39 +54,3 @@ def sym_basis(n: int) -> list[np.ndarray]:
                 v[idx] = amp
         basis.append(v)
     return basis
-
-
-def orthonormalize(m: np.ndarray) -> np.ndarray:
-    """Gram-Schmidt orthonormalization of the columns, with one
-    re-orthogonalization pass per column.
-
-    Preserves the column span and is a fixed point on already-orthonormal
-    input (no sign or phase flips).
-    """
-    q = np.array(m, dtype=complex)
-    if q.ndim != 2 or q.shape[0] < q.shape[1]:
-        raise ValueError(f"expected a tall matrix, got shape {q.shape}")
-    for j in range(q.shape[1]):
-        for _ in range(2):
-            for i in range(j):
-                q[:, j] -= np.vdot(q[:, i], q[:, j]) * q[:, i]
-        nrm = np.linalg.norm(q[:, j])
-        if nrm <= 1e-10:
-            raise DegenerateColumnsError(f"column {j} is in the span of earlier columns")
-        q[:, j] /= nrm
-    return q
-
-
-def is_unit_state(s: np.ndarray, atol: float = STATE_ATOL) -> bool:
-    return abs(np.linalg.norm(np.asarray(s)) - 1.0) <= atol
-
-
-def is_density_matrix(rho: np.ndarray, atol: float = STATE_ATOL) -> bool:
-    rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        return False
-    if np.abs(rho - rho.conj().T).max() > atol:
-        return False
-    if abs(np.trace(rho).real - 1.0) > atol:
-        return False
-    return np.linalg.eigvalsh(rho).min() >= -1e-10

@@ -61,16 +61,6 @@ class InputSet:
     def states(self) -> list[np.ndarray]:
         return [bloch_to_state(p) for p in self.points]
 
-    @property
-    def distinct(self) -> bool:
-        """True when no two states coincide (all pairwise overlaps < 1 - 1e-12)."""
-        vecs = self.states()
-        for i in range(len(vecs)):
-            for j in range(i + 1, len(vecs)):
-                if abs(np.vdot(vecs[i], vecs[j])) >= 1.0 - 1e-12:
-                    return False
-        return True
-
     def to_json(self) -> str:
         doc = {
             "label": self.label,

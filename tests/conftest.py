@@ -3,12 +3,12 @@
 import numpy as np
 
 from clonebench.cloners import AncillaCloner, EconomicCloner
-from clonebench.qlinalg import orthonormalize
 
 
 def random_columns(rng, dim):
     m = rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2))
-    return orthonormalize(m)
+    q, r = np.linalg.qr(m)
+    return q * (r.diagonal() / abs(r.diagonal()))
 
 
 def random_economic(rng):

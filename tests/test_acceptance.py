@@ -49,9 +49,7 @@ F_PHASE = 0.5 + math.sqrt(2.0) / 4.0
 F_UNIVERSAL = 5.0 / 6.0
 
 TRIO_CFG = OptimizationConfig(restarts=200, symmetric=True)
-TETRA_CFG = OptimizationConfig(
-    restarts=200, symmetric=True, economic=False, ancilla_dim=2
-)
+TETRA_CFG = OptimizationConfig(restarts=200, symmetric=True, ancilla_dim=2)
 
 
 _CAPTURE_MANAGER = None

@@ -205,6 +205,11 @@ def run_cli(argv):
         ["optimize", "--set", "trio", "--restarts", "-3"],
         ["optimize", "--set", "trio", "--ancilla-dim", "0"],
         ["nclone", "--n", "2", "--restarts", "0"],
+        ["optimize", "--set", "trio", "--seed", "-1"],
+        ["nclone", "--n", "2", "--seed", "-1"],
+        ["scan", "--resolution", "8", "--budget", "-1"],
+        ["scan", "--resolution", "8", "--budget", "nan"],
+        ["scan", "--resolution", "8", "--budget", "inf"],
     ],
 )
 def test_malformed_input_exits_2(argv, capsys):
@@ -212,6 +217,12 @@ def test_malformed_input_exits_2(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_negative_environment_seed_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("CLONEBENCH_SEED", "-3")
+    assert main(["optimize", "--set", "trio", "--restarts", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 _SET_SPECS = st.one_of(

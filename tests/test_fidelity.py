@@ -20,8 +20,6 @@ from clonebench.cloners import (
 from clonebench.fidelity import (
     closed_form_bound,
     copy_fidelity,
-    covariance_residual,
-    decompose_cone,
     decompose_equatorial,
     n_clone_fidelity,
     n_clone_fidelity_bruteforce,
@@ -70,38 +68,6 @@ def test_decompose_equatorial_matches_density_matrix(maker):
             np.testing.assert_allclose(d.evaluate(phis), direct, atol=1e-12)
 
 
-@pytest.mark.parametrize("theta", [0.4, math.pi / 3.0, math.pi / 2.0, 2.2])
-def test_decompose_cone_matches_density_matrix(theta):
-    rng = np.random.default_rng(31)
-    phis = np.linspace(0.0, TWO_PI, 15, endpoint=False)
-    for maker in (random_economic, random_ancilla):
-        machine = maker(rng)
-        v = to_isometry(machine)
-        for copy in range(2):
-            d = decompose_cone(machine, theta, copy=copy)
-            direct = [
-                copy_fidelity(v, BlochPoint(theta, p), copy) for p in phis
-            ]
-            np.testing.assert_allclose(d.evaluate(phis), direct, atol=1e-12)
-
-
-def test_decompose_cone_reduces_to_equatorial():
-    rng = np.random.default_rng(5)
-    machine = random_ancilla(rng)
-    eq = decompose_equatorial(machine)
-    cone = decompose_cone(machine, math.pi / 2.0)
-    assert eq.lambda1 == pytest.approx(cone.lambda1, abs=1e-12)
-    assert eq.lambda2 == pytest.approx(cone.lambda2, abs=1e-12)
-    assert eq.lambda3 == pytest.approx(cone.lambda3, abs=1e-12)
-
-
-def test_decompose_cone_rejects_poles():
-    with pytest.raises(ValueError):
-        decompose_cone(economic_pqcm(), 0.0)
-    with pytest.raises(ValueError):
-        decompose_cone(economic_pqcm(), math.pi)
-
-
 def test_decompose_rejects_invalid_machine():
     with pytest.raises(InvalidMachineError):
         decompose_equatorial(EconomicCloner(a=1.0, e=1.0))
@@ -115,19 +81,6 @@ def test_optimal_machines_have_flat_decomposition():
             assert d.lambda2 < 1e-12
             assert not d.psi1_defined
             assert not d.psi2_defined
-
-
-def test_covariance_residual_spread_and_trio_conditions():
-    d = decompose_equatorial(economic_pqcm())
-    report = covariance_residual(d, [0.0, TWO_PI / 3.0, 2.0 * TWO_PI / 3.0])
-    assert report.spread < 1e-14
-    assert report.trio_sin_residual == pytest.approx(0.0, abs=1e-14)
-    assert report.trio_cos_residual == pytest.approx(0.0, abs=1e-14)
-    # a non-trio phase list reports the spread only
-    other = covariance_residual(d, [0.1, 0.7])
-    assert other.trio_sin_residual is None
-    with pytest.raises(ValueError):
-        covariance_residual(d, [])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import clonebench.optimize as optimize_module
-from clonebench.cloners import SymmetricNCloner, economic_pqcm, to_isometry
+from clonebench.cloners import SymmetricNCloner, economic_pqcm, optimal_n_cloner, to_isometry
 from clonebench.fidelity import copy_fidelity, n_clone_fidelity
 from clonebench.optimize import (
     OptimizationConfig,
@@ -47,9 +47,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         OptimizationConfig(mode="bogus")
     with pytest.raises(ValueError):
-        OptimizationConfig(economic=True, ancilla_dim=2)
-    with pytest.raises(ValueError):
-        OptimizationConfig(penalty_weight=0.0)
+        OptimizationConfig(ancilla_dim=0)
 
 
 def test_effective_dim():
@@ -138,9 +136,7 @@ def recorded_minimize(monkeypatch):
 def test_search_gradient_matches_central_differences(
     recorded_minimize, mode, input_set, ancilla_dim
 ):
-    cfg = OptimizationConfig(
-        restarts=1, mode=mode, ancilla_dim=ancilla_dim, economic=ancilla_dim == 1
-    )
+    cfg = OptimizationConfig(restarts=1, mode=mode, ancilla_dim=ancilla_dim)
     optimize(input_set, cfg)
     fun = recorded_minimize[0][0]
     rng = np.random.default_rng(3)
@@ -159,6 +155,26 @@ def test_scan_exploration_restarts_converge(recorded_minimize):
     # one local search per start, then one polish of the winner
     assert len(recorded_minimize) == cfg.restarts + 1
     assert all(res.success for _, res in recorded_minimize[: cfg.restarts])
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda: optimize_n(OptimizationConfig(copies=8, restarts=60)),
+        lambda: optimize(tetrahedron(), OptimizationConfig(restarts=20, ancilla_dim=4)),
+    ],
+    ids=["optimize_n-8", "full-ancilla-4"],
+)
+def test_local_searches_stop_far_below_the_iteration_cap(recorded_minimize, search):
+    # the searches leave L-BFGS-B at scipy's default cap of 15000 iterations;
+    # the hardest ones, 1->8 and 64 parameters, converge well inside 600
+    search()
+    assert max(res.nit for _, res in recorded_minimize) < 600
+
+
+def test_objective_rejects_other_copy_counts():
+    with pytest.raises(ValueError, match="1->2"):
+        objective(to_isometry(optimal_n_cloner(3)), equatorial_trio())
 
 
 def test_objective_of_known_machine():

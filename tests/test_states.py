@@ -72,7 +72,8 @@ def test_equatorial_trio_geometry():
     phis = [p.phi for p in s.points]
     assert abs(phis[1] - phis[0] - TWO_PI / 3.0) < 1e-12
     assert abs(phis[2] - phis[1] - TWO_PI / 3.0) < 1e-12
-    assert s.distinct
+    vecs = np.array(s.states())
+    assert (np.abs(vecs.conj() @ vecs.T)[np.triu_indices(3, 1)] < 1.0 - 1e-12).all()
 
 
 def test_tetrahedron_geometry():
@@ -95,7 +96,8 @@ def test_bb84_and_six_state():
     s6 = six_state()
     assert len(s6) == 6
     assert s6.points[4].theta == 0.0 and s6.points[5].theta == math.pi
-    assert s6.distinct
+    vecs = np.array(s6.states())
+    assert (np.abs(vecs.conj() @ vecs.T)[np.triu_indices(6, 1)] < 1.0 - 1e-12).all()
 
 
 def test_equatorial_pair_bounds():
@@ -105,11 +107,6 @@ def test_equatorial_pair_bounds():
         equatorial_pair(0.0)
     with pytest.raises(ValueError):
         equatorial_pair(TWO_PI)
-
-
-def test_distinct_flags_coincident_points():
-    s = custom([(1.0, 0.5), (1.0, 0.5 + 1e-14)])
-    assert not s.distinct
 
 
 def test_empty_set_rejected():
