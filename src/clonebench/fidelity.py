@@ -1,5 +1,5 @@
 """Copy fidelities, the trigonometric fidelity decomposition, and the 1->n
-closed form with its brute-force cross-check.
+closed form.
 
 For an equatorial input (|0> + e^{i phi}|1>)/sqrt(2) the single-copy fidelity
 of any 1->2 machine is a second-order trigonometric polynomial in phi,
@@ -7,8 +7,8 @@ of any 1->2 machine is a second-order trigonometric polynomial in phi,
     F(phi) = lambda1 cos(2 phi + psi1) + lambda2 cos(phi + psi2) + lambda3,
 
 and the lambdas are simple bilinear combinations of the machine coefficients.
-Direct density-matrix evaluation is the ground truth; the coefficient
-formulas are verified against it in the test suite.
+Direct density-matrix evaluation (`copy_fidelity`) is the ground truth; the
+coefficient formulas and the 1->n closed form are verified against it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .cloners import (
     apply,
     constraint_check,
 )
-from .qlinalg import partial_trace, sym_basis
+from .qlinalg import partial_trace
 from .states import TWO_PI, BlochPoint, bloch_to_state
 
 PSI_UNDEFINED_BELOW = 1e-12  # lambda under this: the phase angle is meaningless
@@ -140,23 +140,6 @@ def n_clone_fidelity(c: SymmetricNCloner, phi: float) -> float:
             + np.conj(a[i + 1]) * b[i] * eip * eip
         )
     return 0.5 + 0.5 * float(np.real(acc))
-
-
-def n_clone_fidelity_bruteforce(c: SymmetricNCloner, phi: float) -> float:
-    """Oracle: expand the output in the full 2^n space, trace down to the
-    first qubit, and overlap with the input. Limited to n <= 6."""
-    n = c.n
-    if n > 6:
-        raise ValueError(f"brute-force oracle capped at n=6, got n={n}")
-    basis = sym_basis(n)
-    out = np.zeros(2**n, dtype=complex)
-    eip = cmath.exp(1j * phi)
-    for i in range(n + 1):
-        out += (c.a[i] + eip * c.b[i]) / SQRT2 * basis[i]
-    rho = np.outer(out, out.conj())
-    rho1 = partial_trace(rho, [2] * n, [0])
-    psi = np.array([1.0, eip], dtype=complex) / SQRT2
-    return float(np.real(psi.conj() @ rho1 @ psi))
 
 
 def closed_form_bound(kind: str, n: int | None = None) -> float:

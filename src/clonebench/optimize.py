@@ -1,16 +1,21 @@
 """Numerical search for the best cloning machine on a finite input set.
 
+One search serves 1->2 and 1->n: `optimize` finds the best 1->copies machine
+for an input set, and `optimize_n` is that search on the 120-degree trio
+inside the symmetric subspace.
+
 Constraints are handled by construction: raw real parameters are read as two
 complex output columns, Gram-Schmidt orthonormalized, and (optionally)
 embedded from the symmetric subspace, so every iterate is a valid isometry.
 
 Every copy fidelity is a Hermitian form in the two columns (Fiurasek, PRA 64,
 062310, 2001). With y the real and imaginary parts of the stacked columns,
-F_n = y^T R_n y for a real symmetric stack R built once per input set, so one
-evaluation is one stacked matrix product and its gradient is 2 R_n y, pulled
-back through the Gram-Schmidt step. Local descent is L-BFGS with independent
-random restarts; the hard min objective is smoothed with a log-sum-exp during
-the search and the exact objective is re-evaluated for reporting.
+F_n = y^T R_n y for a real symmetric stack R built once per input set, one
+form per (copy, state), so one evaluation is one stacked matrix product and
+its gradient is 2 R_n y, pulled back through the Gram-Schmidt step. Local
+descent is L-BFGS with independent random restarts; the hard min objective
+is smoothed with a log-sum-exp during the search and the exact objective is
+re-evaluated for reporting.
 
 A search is set by OptimizationConfig: restarts, the exploration tolerance,
 the objective mode, the parameterization (symmetric, ancilla_dim, copies) and
@@ -29,14 +34,13 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .cloners import CloneIsometry, SymmetricNCloner, to_isometry
+from .cloners import CloneIsometry, SymmetricNCloner
 from .qlinalg import DegenerateColumnsError, sym_basis
-from .states import TWO_PI, BlochPoint, InputSet
+from .states import TWO_PI, BlochPoint, InputSet, equatorial_trio
 
 SMOOTH_SHARPNESS = 500.0  # log-sum-exp softening of the hard min
 PENALTY_WEIGHT = 100.0  # weight of the fidelity variance in equal_fidelity_penalty
 DEGENERATE_OVERLAP = 1.0 - 1e-9  # two states this close count as coinciding
-TRIO_PHASES = (0.0, TWO_PI / 3.0, 2.0 * TWO_PI / 3.0)
 
 
 @dataclass(frozen=True)
@@ -191,37 +195,22 @@ def _real_forms(h: np.ndarray) -> np.ndarray:
     return np.block([[h.real, -h.imag], [h.imag, h.real]])
 
 
-def _copy_forms(psis: np.ndarray, embed: np.ndarray, ancilla_dim: int) -> np.ndarray:
-    """Forms of the copy fidelities of the 1->2 machine embed @ q on the
-    states in the columns of psis: copy A of every state, then copy B."""
+def _copy_forms(
+    psis: np.ndarray, embed: np.ndarray, copies: int, ancilla_dim: int
+) -> np.ndarray:
+    """Forms of the copy fidelities of the 1->copies machine embed @ q on the
+    states in the columns of psis: copy 0 of every state, then copy 1, and so
+    on."""
+    d = embed.shape[1]
+    factors = embed.reshape([2] * copies + [ancilla_dim, d])
     hs = []
-    for copy in range(2):
+    for copy in range(copies):
         for psi in psis.T:
             pp = np.outer(psi, psi.conj())
-            if copy == 0:
-                proj = np.kron(pp, np.eye(2 * ancilla_dim))
-            else:
-                proj = np.kron(np.eye(2), np.kron(pp, np.eye(ancilla_dim)))
+            # the projector on this copy's factor, applied without forming it
+            proj_embed = np.moveaxis(np.tensordot(pp, factors, axes=(1, copy)), 0, copy)
             # the output on psi is embed @ q @ psi, and q @ psi = (psi^T x I) v
-            hs.append(np.kron(pp.conj(), embed.conj().T @ proj @ embed))
-    return _real_forms(np.array(hs))
-
-
-def _n_clone_forms(n: int, phases: Sequence[float]) -> np.ndarray:
-    """Forms of the single-copy fidelities of a symmetric 1->n machine on the
-    equatorial inputs at `phases`: F = v^dag (I + K + K^dag) v / 4 with
-    v = [a; b], the closed form of `n_clone_fidelity`."""
-    i = np.arange(n)
-    w = np.sqrt((n - i) * (i + 1.0)) / n
-    hs = []
-    for phi in phases:
-        eip = complex(math.cos(phi), math.sin(phi))
-        k = np.zeros((2 * n + 2, 2 * n + 2), dtype=complex)
-        k[i + 1, i] = w * eip  # a_{i+1}^* a_i
-        k[n + 2 + i, n + 1 + i] = w * eip  # b_{i+1}^* b_i
-        k[n + 2 + i, i] = w  # b_{i+1}^* a_i
-        k[i + 1, n + 1 + i] = w * eip * eip  # a_{i+1}^* b_i
-        hs.append((np.eye(2 * n + 2) + k + k.conj().T) / 4.0)
+            hs.append(np.kron(pp.conj(), embed.conj().T @ proj_embed.reshape(-1, d)))
     return _real_forms(np.array(hs))
 
 
@@ -248,15 +237,6 @@ def _smooth_objective(fids: np.ndarray, mode: str):
         fids.mean() - PENALTY_WEIGHT * (dev @ dev) / fids.size,
         (1.0 - 2.0 * PENALTY_WEIGHT * dev) / fids.size,
     )
-
-
-def objective(v: CloneIsometry, input_set: InputSet, mode: str = "max_min") -> float:
-    """Exact objective of a 1->2 machine on a set under the given mode."""
-    if v.copies != 2:
-        raise ValueError(f"objective handles 1->2 machines, got {v.copies} copies")
-    psis = np.column_stack(input_set.states())
-    forms = _copy_forms(psis, np.eye(4 * v.ancilla_dim), v.ancilla_dim)
-    return _exact_objective(_fidelities(forms, v.matrix), mode)
 
 
 # ---------------------------------------------------------------------------
@@ -342,21 +322,20 @@ def optimize(
     _stream: tuple[int, ...] | None = None,
     _extra_starts: Sequence[np.ndarray] = (),
 ) -> OptimizationResult:
-    """Best machine found for the set over random-restart L-BFGS."""
-    if cfg.copies != 2:
-        raise ValueError("optimize handles 1->2 machines; use optimize_n for 1->n")
+    """Best 1->cfg.copies machine found for the set over random-restart L-BFGS."""
+    copies = cfg.copies
     psis = np.column_stack(input_set.states())
-    d_eff = effective_dim(2, cfg.symmetric, cfg.ancilla_dim)
-    embed = _sym_embedding(2, cfg.ancilla_dim) if cfg.symmetric else np.eye(d_eff)
-    forms = _copy_forms(psis, embed, cfg.ancilla_dim)
+    d_eff = effective_dim(copies, cfg.symmetric, cfg.ancilla_dim)
+    embed = _sym_embedding(copies, cfg.ancilla_dim) if cfg.symmetric else np.eye(d_eff)
+    forms = _copy_forms(psis, embed, copies, cfg.ancilla_dim)
     best_x, hits = _run_restarts(forms, d_eff, cfg, stream=_stream, extra_starts=_extra_starts)
     q = _columns_from_params(best_x, d_eff)
-    fids = _fidelities(forms, q).reshape(2, -1)
+    fids = _fidelities(forms, q).reshape(copies, -1)
     per_state = tuple(
-        (s, k, float(fids[k, s])) for s in range(len(input_set)) for k in range(2)
+        (s, k, float(fids[k, s])) for s in range(len(input_set)) for k in range(copies)
     )
     return OptimizationResult(
-        best=CloneIsometry(embed @ q, copies=2, ancilla_dim=cfg.ancilla_dim),
+        best=CloneIsometry(embed @ q, copies=copies, ancilla_dim=cfg.ancilla_dim),
         per_state_fidelities=per_state,
         objective=_exact_objective(fids, cfg.mode),
         spread=float(fids.max() - fids.min()),
@@ -465,26 +444,12 @@ def scan_equator(
 
 
 def optimize_n(cfg: OptimizationConfig) -> OptimizationResult:
-    """Best symmetric 1->n machine for the 120-degree trio.
-
-    The search space is the two coefficient vectors (a_i), (b_i) under the
-    normalization and orthogonality constraints, enforced by the same
-    two-column Gram-Schmidt parameterization.
-    """
+    """Best economic symmetric 1->n machine for the 120-degree trio: the
+    `optimize` search with n copies inside the symmetric subspace, whose two
+    columns are the machine's coefficient vectors (a_i), (b_i)."""
     n = cfg.copies
     if not 2 <= n <= 8:
         raise ValueError(f"copies={n} outside 2..8")
-    forms = _n_clone_forms(n, TRIO_PHASES)
-    best_x, hits = _run_restarts(forms, n + 1, cfg)
-    q = _columns_from_params(best_x, n + 1)
-    mach = SymmetricNCloner(n=n, a=tuple(q[:, 0]), b=tuple(q[:, 1]))
-    fids = _fidelities(forms, q)
-    return OptimizationResult(
-        best=to_isometry(mach),
-        per_state_fidelities=tuple((s, 0, float(fids[s])) for s in range(3)),
-        objective=_exact_objective(fids, cfg.mode),
-        spread=float(fids.max() - fids.min()),
-        restarts_hitting_best=hits,
-        seed=cfg.seed,
-        machine=mach,
-    )
+    res = optimize(equatorial_trio(), replace(cfg, symmetric=True, ancilla_dim=1))
+    q = _columns_from_params(np.asarray(res.raw_params), n + 1)
+    return replace(res, machine=SymmetricNCloner(n=n, a=tuple(q[:, 0]), b=tuple(q[:, 1])))

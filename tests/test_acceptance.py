@@ -25,7 +25,6 @@ from clonebench.fidelity import (
     copy_fidelity,
     decompose_equatorial,
     n_clone_fidelity,
-    n_clone_fidelity_bruteforce,
 )
 from clonebench.optimize import (
     OptimizationConfig,
@@ -225,7 +224,7 @@ def test_criterion_8_one_to_n_suite():
         for phi in rng.uniform(0.0, TWO_PI, 20):
             delta = abs(
                 n_clone_fidelity(res.machine, phi)
-                - n_clone_fidelity_bruteforce(res.machine, phi)
+                - copy_fidelity(res.best, BlochPoint(math.pi / 2.0, phi), 0)
             )
             worst_oracle = max(worst_oracle, delta)
     elapsed = time.perf_counter() - t0

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from importlib import resources
 
 import jsonschema
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import clonebench.cli as cli
 from clonebench.cli import main, resolve_machine, resolve_set
 from clonebench.states import equatorial_trio
 
@@ -177,8 +179,31 @@ def test_nclone_reaches_the_parity_bound_at_default_restarts(tmp_path, capsys, n
     assert main(["nclone", "--n", str(n), "--out", str(out)]) == 0
     doc = read_json(out)
     assert abs(doc["objective"] - doc["bound"]) < 1e-4
-    if n <= 6:
-        assert doc["oracle_delta"] < 1e-10
+    assert doc["oracle_delta"] < 1e-10
+
+
+def test_optimize_self_check_catches_any_wrong_fidelity(monkeypatch, capsys):
+    # corrupt the largest reported fidelity, which a check of the minimum misses
+    search = cli.optimize
+
+    def corrupted(input_set, cfg):
+        res = search(input_set, cfg)
+        fids = sorted(res.per_state_fidelities, key=lambda e: e[2])
+        s, k, f = fids[-1]
+        return replace(res, per_state_fidelities=(*fids[:-1], (s, k, f + 1e-3)))
+
+    monkeypatch.setattr(cli, "optimize", corrupted)
+    argv = ["optimize", "--set", "bb84", "--symmetric", "--economic", "--restarts", "4"]
+    assert main(argv) == 3
+    assert "self-check failed" in capsys.readouterr().err
+
+
+def test_nclone_self_check_catches_a_wrong_closed_form(monkeypatch, capsys):
+    closed_form = cli.n_clone_fidelity
+    monkeypatch.setattr(cli, "n_clone_fidelity", lambda c, phi: closed_form(c, phi) + 1e-6)
+    assert main(["nclone", "--n", "3", "--restarts", "20"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["oracle_delta"] > 1e-10 and not doc["passed"]
 
 
 def test_nclone_out_of_range_exit_2(capsys):
@@ -204,6 +229,7 @@ def run_cli(argv):
         ["optimize", "--set", "trio", "--restarts", "0"],
         ["optimize", "--set", "trio", "--restarts", "-3"],
         ["optimize", "--set", "trio", "--ancilla-dim", "0"],
+        ["optimize", "--set", "trio", "--ancilla-dim", "9"],
         ["nclone", "--n", "2", "--restarts", "0"],
         ["optimize", "--set", "trio", "--seed", "-1"],
         ["nclone", "--n", "2", "--seed", "-1"],

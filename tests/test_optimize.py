@@ -15,12 +15,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import clonebench.optimize as optimize_module
-from clonebench.cloners import SymmetricNCloner, economic_pqcm, optimal_n_cloner, to_isometry
+from clonebench.cloners import SymmetricNCloner, to_isometry
 from clonebench.fidelity import copy_fidelity, n_clone_fidelity
 from clonebench.optimize import (
     OptimizationConfig,
     effective_dim,
-    objective,
     optimize,
     optimize_n,
     parameterize,
@@ -33,6 +32,7 @@ from clonebench.states import (
     TWO_PI,
     BlochPoint,
     InputSet,
+    bloch_to_state,
     equatorial_pair,
     equatorial_trio,
     tetrahedron,
@@ -80,21 +80,34 @@ def test_parameterize_rejects_wrong_size():
         parameterize(np.zeros(7))
 
 
-@pytest.mark.parametrize("symmetric", [False, True])
-@pytest.mark.parametrize("ancilla_dim", [1, 2, 4])
-def test_copy_forms_match_the_density_matrix_oracle(symmetric, ancilla_dim):
-    rng = np.random.default_rng(ancilla_dim + 10 * symmetric)
+# ids: "<ancilla_dim>-<symmetric>", suffixed with the copy count past two
+ORACLE_CASES = [
+    pytest.param(
+        symmetric,
+        ancilla_dim,
+        copies,
+        id=f"{ancilla_dim}-{symmetric}" + (f"-{copies}copies" if copies > 2 else ""),
+    )
+    for copies in (2, 3)
+    for ancilla_dim in (1, 2, 4)
+    for symmetric in (False, True)
+]
+
+
+@pytest.mark.parametrize("symmetric, ancilla_dim, copies", ORACLE_CASES)
+def test_copy_forms_match_the_density_matrix_oracle(symmetric, ancilla_dim, copies):
+    rng = np.random.default_rng(ancilla_dim + 10 * symmetric + 100 * (copies - 2))
     angles = zip(rng.uniform(0.0, math.pi, 5), rng.uniform(0.0, TWO_PI, 5))
     points = [BlochPoint(theta, phi) for theta, phi in angles]
     psis = np.column_stack(InputSet("random", tuple(points)).states())
-    d_eff = effective_dim(2, symmetric, ancilla_dim)
-    embed = optimize_module._sym_embedding(2, ancilla_dim) if symmetric else np.eye(d_eff)
-    forms = optimize_module._copy_forms(psis, embed, ancilla_dim)
+    d_eff = effective_dim(copies, symmetric, ancilla_dim)
+    embed = optimize_module._sym_embedding(copies, ancilla_dim) if symmetric else np.eye(d_eff)
+    forms = optimize_module._copy_forms(psis, embed, copies, ancilla_dim)
     for _ in range(5):
         x = rng.standard_normal(4 * d_eff)
         fids = optimize_module._fidelities(forms, optimize_module._columns_from_params(x, d_eff))
-        v = parameterize(x, symmetric=symmetric, ancilla_dim=ancilla_dim)
-        oracle = [copy_fidelity(v, p, copy) for copy in range(2) for p in points]
+        v = parameterize(x, copies=copies, symmetric=symmetric, ancilla_dim=ancilla_dim)
+        oracle = [copy_fidelity(v, p, copy) for copy in range(copies) for p in points]
         np.testing.assert_allclose(fids, oracle, rtol=0.0, atol=1e-12)
 
 
@@ -102,13 +115,16 @@ def test_copy_forms_match_the_density_matrix_oracle(symmetric, ancilla_dim):
 def test_n_clone_forms_match_the_closed_form(n):
     rng = np.random.default_rng(n)
     phases = rng.uniform(0.0, TWO_PI, 6)
-    forms = optimize_module._n_clone_forms(n, phases)
+    psis = np.column_stack([bloch_to_state(BlochPoint(math.pi / 2.0, phi)) for phi in phases])
+    forms = optimize_module._copy_forms(psis, optimize_module._sym_embedding(n, 1), n, 1)
     for _ in range(5):
         q = optimize_module._columns_from_params(rng.standard_normal(4 * (n + 1)), n + 1)
         machine = SymmetricNCloner(n=n, a=tuple(q[:, 0]), b=tuple(q[:, 1]))
+        closed = [n_clone_fidelity(machine, phi) for phi in phases]
+        # every copy of a symmetric machine has the closed-form fidelity
         np.testing.assert_allclose(
-            optimize_module._fidelities(forms, q),
-            [n_clone_fidelity(machine, phi) for phi in phases],
+            optimize_module._fidelities(forms, q).reshape(n, -1),
+            np.tile(closed, (n, 1)),
             rtol=0.0,
             atol=1e-12,
         )
@@ -172,18 +188,6 @@ def test_local_searches_stop_far_below_the_iteration_cap(recorded_minimize, sear
     assert max(res.nit for _, res in recorded_minimize) < 600
 
 
-def test_objective_rejects_other_copy_counts():
-    with pytest.raises(ValueError, match="1->2"):
-        objective(to_isometry(optimal_n_cloner(3)), equatorial_trio())
-
-
-def test_objective_of_known_machine():
-    v = to_isometry(economic_pqcm())
-    assert objective(v, equatorial_trio()) == pytest.approx(F_PHASE, abs=1e-12)
-    eq = objective(v, equatorial_trio(), mode="equal_fidelity_penalty")
-    assert eq == pytest.approx(F_PHASE, abs=1e-9)
-
-
 def test_optimize_trio_small_budget():
     res = optimize(equatorial_trio(), SMALL)
     assert res.objective == pytest.approx(F_PHASE, abs=1e-4)
@@ -207,16 +211,14 @@ def test_optimize_seed_changes_search_path():
     assert a.objective == pytest.approx(b.objective, abs=1e-5)
 
 
-def test_optimize_rejects_wrong_copies():
-    with pytest.raises(ValueError):
-        optimize(equatorial_trio(), replace(SMALL, copies=3))
-
-
 def test_optimize_n_small_budget():
     cfg = OptimizationConfig(restarts=20, copies=3)
     res = optimize_n(cfg)
     assert res.objective == pytest.approx(5.0 / 6.0, abs=1e-4)
     assert res.machine is not None and res.machine.n == 3
+    # one fidelity per (state, copy), and the machine is the isometry found
+    assert len(res.per_state_fidelities) == 3 * 3
+    np.testing.assert_array_equal(to_isometry(res.machine).matrix, res.best.matrix)
 
 
 def test_optimize_n_range():
