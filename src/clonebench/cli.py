@@ -296,7 +296,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     res = optimize(input_set, cfg)
     # self-check: every reported fidelity must match an independent
-    # density-matrix evaluation of the winning machine
+    # reduced-state evaluation of the winning machine (`copy_fidelity`)
     worst = max(
         abs(copy_fidelity(res.best, input_set.points[s], k) - f)
         for s, k, f in res.per_state_fidelities
@@ -424,7 +424,7 @@ def cmd_nclone(args: argparse.Namespace) -> int:
         "bound": bound,
         "machine": json.loads(machine_to_json(res.machine)),
     }
-    # self-check: the closed form against the density-matrix oracle
+    # self-check: the closed form against the `copy_fidelity` oracle
     rng = np.random.default_rng(args.seed)
     delta = max(
         abs(

@@ -182,22 +182,10 @@ def to_isometry(c: Cloner) -> CloneIsometry:
     if not report.passed:
         raise InvalidMachineError(f"constraint residuals too large: {report.as_dict()}")
     if isinstance(c, SymmetricNCloner):
-        basis = np.column_stack(sym_basis(c.n))  # 2^n x (n+1)
-        return CloneIsometry(basis @ c.columns(), copies=c.n, ancilla_dim=1)
+        return CloneIsometry(sym_basis(c.n) @ c.columns(), copies=c.n, ancilla_dim=1)
     if isinstance(c, AncillaCloner):
         return CloneIsometry(c.columns(), copies=2, ancilla_dim=c.ancilla_dim)
     return CloneIsometry(c.columns(), copies=2, ancilla_dim=1)
-
-
-def apply(v: CloneIsometry, state: np.ndarray) -> np.ndarray:
-    """Density matrix of the full output, V |psi><psi| V†."""
-    psi = np.asarray(state, dtype=complex).reshape(-1)
-    if psi.shape != (2,):
-        raise ValueError(f"input must be a 2-vector, got shape {psi.shape}")
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
-        raise ValueError("input must be a unit state")
-    out = v.matrix @ psi
-    return np.outer(out, out.conj())
 
 
 # ---------------------------------------------------------------------------

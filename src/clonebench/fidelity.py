@@ -7,8 +7,9 @@ of any 1->2 machine is a second-order trigonometric polynomial in phi,
     F(phi) = lambda1 cos(2 phi + psi1) + lambda2 cos(phi + psi2) + lambda3,
 
 and the lambdas are simple bilinear combinations of the machine coefficients.
-Direct density-matrix evaluation (`copy_fidelity`) is the ground truth; the
-coefficient formulas and the 1->n closed form are verified against it.
+The ground truth is `copy_fidelity`: the overlap of the input with the
+reduced density matrix of the output ket V|psi> on one copy. The coefficient
+formulas and the 1->n closed form are verified against it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .cloners import (
     EconomicCloner,
     InvalidMachineError,
     SymmetricNCloner,
-    apply,
     constraint_check,
 )
 from .qlinalg import partial_trace
@@ -38,12 +38,12 @@ SQRT2 = math.sqrt(2.0)
 
 
 def copy_fidelity(v: CloneIsometry, p: BlochPoint, copy: int = 0) -> float:
-    """Overlap <psi| rho_copy |psi> between the input and one reduced output."""
+    """Overlap <psi| rho_copy |psi> between the input and one copy's reduced
+    state, traced down from the output ket V|psi>."""
     if not 0 <= copy < v.copies:
         raise IndexError(f"copy index {copy} out of range for {v.copies} copies")
-    rho = apply(v, bloch_to_state(p))
-    rho_c = partial_trace(rho, v.output_dims, [copy])
     psi = bloch_to_state(p)
+    rho_c = partial_trace(v.matrix @ psi, v.output_dims, [copy])
     return float(np.real(psi.conj() @ rho_c @ psi))
 
 

@@ -114,7 +114,7 @@ def scan_csv(rows: Iterable[tuple[float, float, float, bool]]) -> str:
 def _sym_embedding(copies: int, ancilla_dim: int) -> np.ndarray:
     """Isometric embedding of (symmetric subspace x ancilla) into the full
     output space, with the copies as leading factors."""
-    s = np.column_stack(sym_basis(copies))  # 2^copies x (copies + 1)
+    s = sym_basis(copies)  # 2^copies x (copies + 1)
     if ancilla_dim == 1:
         return s
     return np.kron(s, np.eye(ancilla_dim))

@@ -1,4 +1,7 @@
-"""Shared helpers: random valid machines for property tests."""
+"""Shared helpers: random valid machines for property tests, and the
+explicit density-matrix partial trace the ket oracle is checked against."""
+
+import math
 
 import numpy as np
 
@@ -35,3 +38,14 @@ def random_ancilla(rng, ancilla_dim=2):
                 coeffs.append(norm)
                 kets.append(block / norm)
     return AncillaCloner(*coeffs, kets=tuple(kets), ancilla_dim=ancilla_dim)
+
+
+def reduced_by_einsum(psi, dims, keep):
+    """Reference reduced state: build |psi><psi| and trace it with einsum,
+    the traced factors sharing their ket and bra index."""
+    k = len(dims)
+    keep = sorted(keep)
+    t = np.outer(psi, psi.conj()).reshape(list(dims) * 2)
+    sub_in = list(range(k)) + [i if i not in keep else k + i for i in range(k)]
+    d_keep = math.prod(dims[i] for i in keep)
+    return np.einsum(t, sub_in, keep + [k + i for i in keep]).reshape(d_keep, d_keep)

@@ -77,6 +77,14 @@ def test_verify_non_universal_machine_off_equator(capsys):
     assert max(fids) - min(fids) > 1e-3  # non-flat on a non-equatorial set
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_verify_nclone_on_the_equator(n, capsys):
+    assert main(["verify", "--machine", f"nclone:{n}", "--set", "equator:7"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    jsonschema.validate(doc, load_schema("verify_report.schema.json"))
+    assert doc["passed"]
+
+
 def test_verify_unknown_names_exit_2(capsys):
     assert main(["verify", "--machine", "bogus", "--set", "trio"]) == 2
     assert main(["verify", "--machine", "uqcm", "--set", "bogus"]) == 2

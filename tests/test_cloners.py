@@ -17,7 +17,6 @@ from clonebench.cloners import (
     InvalidMachineError,
     SymmetricNCloner,
     ancilla_pqcm,
-    apply,
     constraint_check,
     economic_pqcm,
     machine_from_json,
@@ -26,7 +25,6 @@ from clonebench.cloners import (
     to_isometry,
     uqcm,
 )
-from clonebench.states import BlochPoint, bloch_to_state
 
 
 def machine_schema():
@@ -88,23 +86,6 @@ def test_isometry_columns_are_orthonormal():
 def test_clone_isometry_validates_shape():
     with pytest.raises(ValueError):
         CloneIsometry(np.zeros((3, 2)), copies=2, ancilla_dim=1)
-
-
-def test_apply_returns_pure_density_matrix():
-    v = to_isometry(economic_pqcm())
-    psi = bloch_to_state(BlochPoint(math.pi / 2.0, 0.3))
-    rho = apply(v, psi)
-    assert abs(np.trace(rho) - 1.0) < 1e-12
-    np.testing.assert_allclose(rho, rho.conj().T, atol=1e-14)
-    np.testing.assert_allclose(rho @ rho, rho, atol=1e-12)
-
-
-def test_apply_rejects_bad_inputs():
-    v = to_isometry(economic_pqcm())
-    with pytest.raises(ValueError):
-        apply(v, np.array([1.0, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        apply(v, np.array([1.0, 1.0]))
 
 
 def test_ancilla_cloner_validates_kets():

@@ -2,12 +2,15 @@
 the 1->n closed form."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import random_ancilla, random_columns, random_economic
+from conftest import random_ancilla, random_columns, random_economic, reduced_by_einsum
 
+from clonebench.cli import resolve_machine
 from clonebench.cloners import (
+    CloneIsometry,
     EconomicCloner,
     SymmetricNCloner,
     InvalidMachineError,
@@ -23,7 +26,7 @@ from clonebench.fidelity import (
     decompose_equatorial,
     n_clone_fidelity,
 )
-from clonebench.states import TWO_PI, BlochPoint
+from clonebench.states import TWO_PI, BlochPoint, bloch_to_state
 
 F_PHASE = 0.5 + math.sqrt(2.0) / 4.0
 
@@ -52,6 +55,52 @@ def test_copy_fidelity_copy_index_range():
     v = to_isometry(economic_pqcm())
     with pytest.raises(IndexError):
         copy_fidelity(v, equatorial(0.0), 2)
+
+
+def explicit_copy_fidelity(v, p, copy):
+    """<psi| rho_copy |psi> from the full output density matrix V|psi><psi|V†."""
+    psi = bloch_to_state(p)
+    rho_c = reduced_by_einsum(v.matrix @ psi, v.output_dims, [copy])
+    return float(np.real(psi.conj() @ rho_c @ psi))
+
+
+def random_points(rng, count):
+    return [BlochPoint(rng.uniform(0.0, math.pi), rng.uniform(0.0, TWO_PI)) for _ in range(count)]
+
+
+@pytest.mark.parametrize(
+    "name", ["pqcm-economic", "pqcm-ancilla", "uqcm"] + [f"nclone:{n}" for n in range(1, 11)]
+)
+def test_copy_fidelity_matches_explicit_density_matrix(name):
+    v = to_isometry(resolve_machine(name))
+    for p in random_points(np.random.default_rng(31), 4) + [equatorial(0.4)]:
+        for copy in range(v.copies):
+            assert abs(copy_fidelity(v, p, copy) - explicit_copy_fidelity(v, p, copy)) < 1e-13
+
+
+@pytest.mark.parametrize("copies,ancilla_dim", [(2, 2), (2, 4), (3, 1)])
+def test_copy_fidelity_matches_explicit_density_matrix_on_random_isometries(copies, ancilla_dim):
+    rng = np.random.default_rng(10 * copies + ancilla_dim)
+    for _ in range(5):
+        m = random_columns(rng, 2**copies * ancilla_dim)
+        v = CloneIsometry(m, copies=copies, ancilla_dim=ancilla_dim)
+        for p in random_points(rng, 4):
+            for copy in range(copies):
+                assert abs(copy_fidelity(v, p, copy) - explicit_copy_fidelity(v, p, copy)) < 1e-13
+
+
+def test_copy_fidelity_never_forms_the_output_density_matrix():
+    # at n = 10 the output density matrix alone is 1024 x 1024 complex, 16.8 MB
+    v = to_isometry(optimal_n_cloner(10))
+    p = equatorial(0.7)
+    copy_fidelity(v, p, 1)
+    tracemalloc.start()
+    try:
+        copy_fidelity(v, p, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("maker", [random_economic, random_ancilla])
@@ -84,7 +133,7 @@ def test_optimal_machines_have_flat_decomposition():
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_n_clone_closed_form_matches_bruteforce(n):
-    # the density-matrix oracle expands the output in the full 2^n space
+    # the oracle expands the output ket in the full 2^n space
     rng = np.random.default_rng(100 + n)
     q = random_columns(rng, n + 1)
     machine = SymmetricNCloner(n=n, a=tuple(q[:, 0]), b=tuple(q[:, 1]))
