@@ -10,9 +10,11 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
+import shlex
 import sys
 import time
 from dataclasses import asdict
@@ -176,12 +178,12 @@ def _write_outputs(out: str | None, text: str, manifest: dict) -> None:
         fh.write("\n")
 
 
-def _manifest(config: dict, seed: int, t0: float) -> dict:
+def _manifest(args: argparse.Namespace, config: dict, t0: float) -> dict:
     return {
-        "command": " ".join(sys.argv),
+        "command": shlex.join(["clonebench", *args.argv]),
         "config": config,
-        "seed": seed,
-        "wall_time_s": round(time.time() - t0, 3),
+        "seed": args.seed,
+        "wall_time_s": round(time.perf_counter() - t0, 3),
         "version": __version__,
         "outputs": [],
     }
@@ -220,7 +222,7 @@ def _is_equatorial(input_set: InputSet) -> bool:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     machine = resolve_machine(args.machine)
     input_set = resolve_set(args.set)
     v = to_isometry(machine)
@@ -259,7 +261,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         doc["bound_comparison"] = {"expected": expected, "max_deviation": worst}
         ok = ok and worst < VERIFY_TOL
     doc["passed"] = bool(ok)
-    manifest = _manifest({"machine": args.machine, "set": args.set}, args.seed, t0)
+    manifest = _manifest(args, {"machine": args.machine, "set": args.set}, t0)
     _write_outputs(args.out, _dumps(doc), manifest)
     return EXIT_OK if ok else EXIT_SELF_CHECK
 
@@ -291,7 +293,7 @@ def _config_from_args(args: argparse.Namespace) -> OptimizationConfig:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     input_set = resolve_set(args.set)
     cfg = _config_from_args(args)
     res = optimize(input_set, cfg)
@@ -313,7 +315,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         text = "\n".join(lines) + "\n"
     else:
         text = _dumps(doc)
-    manifest = _manifest({**_public_config(cfg), "set": args.set}, cfg.seed, t0)
+    manifest = _manifest(args, {**_public_config(cfg), "set": args.set}, t0)
     _write_outputs(args.out, text, manifest)
     return EXIT_OK
 
@@ -339,7 +341,7 @@ class _BudgetExceeded(Exception):
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.resolution < 8:
         raise UsageError(f"resolution {args.resolution} must be >= 8")
     # NaN fails the comparison too
@@ -353,13 +355,13 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
     def progress(i: int, j: int, value: float) -> None:
         cells_done.append((i, j, value))
-        if args.budget and time.time() - t0 > args.budget:
+        if args.budget and time.perf_counter() - t0 > args.budget:
             raise _BudgetExceeded
 
     try:
         grid = scan_equator(args.resolution, cfg, progress=progress)
     except _BudgetExceeded:
-        manifest = _manifest({"resolution": args.resolution}, cfg.seed, t0)
+        manifest = _manifest(args, {"resolution": args.resolution}, t0)
         manifest["note"] = f"budget of {args.budget}s exceeded; CSV is partial"
         partial = scan_csv(
             (
@@ -394,7 +396,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         "grid_limited": not on_grid,
         "located": located,
     }
-    manifest = _manifest({"resolution": args.resolution}, cfg.seed, t0)
+    manifest = _manifest(args, {"resolution": args.resolution}, t0)
     _write_outputs(args.out, grid.to_csv(), manifest)
     summary_text = _dumps(summary)
     if args.out is not None:
@@ -410,7 +412,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_nclone(args: argparse.Namespace) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     if not 2 <= args.n <= 8:
         raise UsageError(f"--n {args.n} outside 2..8")
     _require_positive("--restarts", args.restarts)
@@ -435,7 +437,7 @@ def cmd_nclone(args: argparse.Namespace) -> int:
     )
     doc["oracle_delta"] = delta
     doc["passed"] = bool(abs(res.objective - bound) < 1e-4 and delta < 1e-10)
-    manifest = _manifest({"n": args.n, "restarts": args.restarts}, cfg.seed, t0)
+    manifest = _manifest(args, {"n": args.n, "restarts": args.restarts}, t0)
     _write_outputs(args.out, _dumps(doc), manifest)
     return EXIT_OK if doc["passed"] else EXIT_SELF_CHECK
 
@@ -444,7 +446,10 @@ def cmd_nclone(args: argparse.Namespace) -> int:
 # entry point
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="clonebench",
         description=__doc__,
@@ -461,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--machine", required=True, help="pqcm-economic | pqcm-ancilla | uqcm | nclone:<n>")
     p.add_argument("--set", required=True, help="trio | bb84 | six-state | tetrahedron | equator:<count>")
     common(p)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("optimize", help="search for the best machine on an input set")
     p.add_argument("--set", required=True, help="named set, pair:<deg>, equator:<count>, JSON, or path")
@@ -472,31 +476,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=200)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     common(p)
-    p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("scan", help="grid scan of the best fidelity over trio phases")
     p.add_argument("--resolution", type=int, default=24)
     p.add_argument("--budget", type=float, default=0.0, help="wall-time budget in seconds (0 = none)")
     common(p)
-    p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("nclone", help="optimal 1->n machine for the 120-degree trio")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--restarts", type=int, default=60)
     common(p)
-    p.set_defaults(func=cmd_nclone)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    args.argv = argv
+    # looked up per call, so a replaced cmd_* takes effect
+    command = {"verify": cmd_verify, "optimize": cmd_optimize, "scan": cmd_scan, "nclone": cmd_nclone}
     try:
         if args.seed is None:
             args.seed = _default_seed()
         if args.seed < 0:
             raise UsageError(f"seed {args.seed} must be >= 0")
-        return args.func(args)
+        return command[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -21,6 +21,11 @@ A search is set by OptimizationConfig: restarts, the exploration tolerance,
 the objective mode, the parameterization (symmetric, ancilla_dim, copies) and
 the seed. No iteration cap is set: descents stop on the tolerance, far inside
 scipy's default cap.
+
+scipy is imported on the first local search, not with this module: the
+import takes about 0.5 s, and `verify` and the closed forms never search.
+The searches call the module attribute `minimize`, which forwards to
+`scipy.optimize.minimize`.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .cloners import CloneIsometry, SymmetricNCloner
 from .qlinalg import DegenerateColumnsError, sym_basis
@@ -41,6 +45,16 @@ from .states import TWO_PI, BlochPoint, InputSet, equatorial_trio
 SMOOTH_SHARPNESS = 500.0  # log-sum-exp softening of the hard min
 PENALTY_WEIGHT = 100.0  # weight of the fidelity variance in equal_fidelity_penalty
 DEGENERATE_OVERLAP = 1.0 - 1e-9  # two states this close count as coinciding
+
+
+def _scipy_minimize(*args, **kwargs):
+    """`scipy.optimize.minimize`, imported on the first call."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
+
+
+minimize = _scipy_minimize
 
 
 @dataclass(frozen=True)

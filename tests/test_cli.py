@@ -2,8 +2,14 @@
 
 import json
 import math
+import os
+import shlex
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -308,3 +314,83 @@ def test_verify_manifest_records_the_seed(tmp_path, capsys):
 def test_format_is_rejected_where_unimplemented(argv, capsys):
     assert run_cli([*argv, "--format", "csv"]) == 2
     assert "--format" in capsys.readouterr().err
+
+
+def test_manifest_records_the_parsed_command(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "verify.json"
+    argv = ["verify", "--machine", "uqcm", "--set", "trio", "--out", str(out)]
+    assert main(argv) == 0
+    manifest = read_json(str(out) + ".manifest.json")
+    assert manifest["command"] == " ".join(["clonebench", *argv])
+    # with no argv, main parses the process's own arguments
+    monkeypatch.setattr(sys, "argv", ["host-program", *argv])
+    assert main() == 0
+    assert read_json(str(out) + ".manifest.json")["command"] == manifest["command"]
+    # quoted, so an inline set is one shell word
+    inline = equatorial_trio().to_json()
+    assert main(["verify", "--machine", "uqcm", "--set", inline, "--out", str(out)]) == 0
+    command = read_json(str(out) + ".manifest.json")["command"]
+    assert shlex.split(command)[1:] == ["verify", "--machine", "uqcm", "--set", inline, "--out", str(out)]
+
+
+def test_verify_never_imports_scipy():
+    # a fresh interpreter, since this one has imported scipy already
+    script = textwrap.dedent(
+        """
+        import contextlib, io, sys
+        import clonebench.cli as cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            for machine in ("uqcm", "pqcm-economic", "pqcm-ancilla", "nclone:3"):
+                assert cli.main(["verify", "--machine", machine, "--set", "trio"]) == 0
+            print("scipy.optimize" in sys.modules, file=sys.stderr)
+            assert cli.main(["optimize", "--set", "trio", "--restarts", "1"]) == 0
+            print("scipy.optimize" in sys.modules, file=sys.stderr)
+        """
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.split() == ["False", "True"]
+
+
+def test_parser_reuse_keeps_no_state(tmp_path, capsys):
+    cli.build_parser.cache_clear()
+    plain = ["optimize", "--set", "trio", "--restarts", "1"]
+    assert main(plain) == 0
+    first = capsys.readouterr().out
+    assert cli.build_parser() is cli.build_parser()
+    out = tmp_path / "opt.json"
+    flagged = ["optimize", "--set", "trio", "--symmetric", "--economic", "--restarts", "1"]
+    assert main([*flagged, "--out", str(out)]) == 0
+    assert read_json(str(out) + ".manifest.json")["config"]["symmetric"]
+    capsys.readouterr()
+    assert main([*plain, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == first
+    assert read_json(str(out) + ".manifest.json")["config"] == {
+        "restarts": 1,
+        "mode": "max_min",
+        "symmetric": False,
+        "economic": True,
+        "ancilla_dim": 1,
+        "copies": 2,
+        "seed": 0,
+        "set": "trio",
+    }
+
+
+def test_a_replaced_command_takes_effect_after_the_parser_is_built(monkeypatch, capsys):
+    argv = ["verify", "--machine", "uqcm", "--set", "trio"]
+    assert main(argv) == 0
+    calls = []
+
+    def fake(args):
+        calls.append(args.machine)
+        return 3
+
+    monkeypatch.setattr(cli, "cmd_verify", fake)
+    assert main(argv) == 3
+    assert calls == ["uqcm"]
