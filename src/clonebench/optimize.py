@@ -13,19 +13,19 @@ Every copy fidelity is a Hermitian form in the two columns (Fiurasek, PRA 64,
 F_n = y^T R_n y for a real symmetric stack R built once per input set, one
 form per (copy, state), so one evaluation is one stacked matrix product and
 its gradient is 2 R_n y, pulled back through the Gram-Schmidt step. Local
-descent is L-BFGS with independent random restarts; the hard min objective
-is smoothed with a log-sum-exp during the search and the exact objective is
-re-evaluated for reporting.
+descent is BFGS (`_descend`) with independent random restarts; the hard min
+objective is smoothed with a log-sum-exp during the search and the exact
+objective is re-evaluated for reporting.
 
 A search is set by OptimizationConfig: restarts, the exploration tolerance,
 the objective mode, the parameterization (symmetric, ancilla_dim, copies) and
-the seed. No iteration cap is set: descents stop on the tolerance, far inside
-scipy's default cap.
+the seed. A descent stops when one step lowers the smoothed objective by at
+most tol relative to its size, or when its gradient vanishes; the winner is
+then polished with tolerances near machine precision. No search sets an
+iteration cap: descents stop on the tolerance, far inside MAX_ITERS.
 
-scipy is imported on the first local search, not with this module: the
-import takes about 0.5 s, and `verify` and the closed forms never search.
-The searches call the module attribute `minimize`, which forwards to
-`scipy.optimize.minimize`.
+The searches call the module attribute `minimize`, bound to `_descend`, so a
+caller can wrap every local descent in one place.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,16 +45,86 @@ from .states import TWO_PI, BlochPoint, InputSet, equatorial_trio
 SMOOTH_SHARPNESS = 500.0  # log-sum-exp softening of the hard min
 PENALTY_WEIGHT = 100.0  # weight of the fidelity variance in equal_fidelity_penalty
 DEGENERATE_OVERLAP = 1.0 - 1e-9  # two states this close count as coinciding
+MAX_ITERS = 15000  # descent iteration cap, scipy L-BFGS-B's default
+ARMIJO_C1 = 1e-4  # sufficient-decrease constant of the backtracking line search
+MIN_STEP = 1e-20  # a line search whose step falls below this has failed
 
 
-def _scipy_minimize(*args, **kwargs):
-    """`scipy.optimize.minimize`, imported on the first call."""
-    from scipy.optimize import minimize as scipy_minimize
+class _Descent(NamedTuple):
+    x: np.ndarray
+    fun: float
+    nit: int
+    nfev: int
+    success: bool
 
-    return scipy_minimize(*args, **kwargs)
+
+def _descend(fun, x0, ftol: float = 1e-6, gtol: float = 1e-5) -> _Descent:
+    """Minimize `fun`, which returns (value, gradient), by BFGS from x0
+    (Nocedal & Wright, Numerical Optimization, 2006: Alg. 6.1 with the
+    backtracking of Alg. 3.1).
+
+    A dense inverse Hessian H starts as (s.y / y.y) I after the first accepted
+    step, which goes along -g/|g|; an update whose curvature s.y is at most
+    1e-12 y.y is skipped, and steepest descent replaces -Hg when that is not
+    a descent direction. Each step backtracks from t = 1 to the Armijo
+    condition, by quadratic interpolation clamped to [0.1 t, 0.5 t], or by
+    halving where the value is not finite. The descent stops with success when
+    max|g| <= gtol or when one step lowers the value by at most
+    ftol * max(|f_k|, |f_k+1|, 1), the two tests of scipy's L-BFGS-B; it fails
+    when the start value is not finite or the step falls below MIN_STEP.
+    """
+    x = np.array(x0, dtype=float)
+    f, g = fun(x)
+    nfev = 1
+    if not math.isfinite(f):
+        return _Descent(x, f, 0, nfev, False)
+    h = None
+    for nit in range(MAX_ITERS):
+        if np.abs(g).max() <= gtol:
+            return _Descent(x, f, nit, nfev, True)
+        if h is None:
+            p = g / -math.sqrt(g @ g)
+        else:
+            p = -(h @ g)
+        slope = g @ p
+        if not slope < 0.0:
+            p = -g
+            slope = -(g @ g)
+        t = 1.0
+        while True:
+            x_new = x + t * p
+            f_new, g_new = fun(x_new)
+            nfev += 1
+            if not math.isfinite(f_new):
+                t *= 0.5
+            elif f_new <= f + ARMIJO_C1 * t * slope:
+                break
+            else:
+                # minimizer of the parabola through f, slope and f_new
+                t_min = -slope * t * t / (2.0 * (f_new - f - slope * t))
+                t = min(max(t_min, 0.1 * t), 0.5 * t)
+            if t < MIN_STEP:
+                return _Descent(x, f, nit, nfev, False)
+        s = x_new - x
+        y = g_new - g
+        decrease = f - f_new
+        x, g = x_new, g_new
+        if decrease <= ftol * max(abs(f), abs(f_new), 1.0):
+            return _Descent(x, f_new, nit + 1, nfev, True)
+        f = f_new
+        sy = s @ y
+        yy = y @ y
+        if sy > 1e-12 * yy:
+            if h is None:
+                h = np.eye(x.size) * (sy / yy)
+            hy = h @ y
+            rho = 1.0 / sy
+            shy = np.outer(s, hy)
+            h += (rho * rho * (y @ hy) + rho) * np.outer(s, s) - rho * (shy + shy.T)
+    return _Descent(x, f, MAX_ITERS, nfev, False)
 
 
-minimize = _scipy_minimize
+minimize = _descend
 
 
 @dataclass(frozen=True)
@@ -72,6 +142,13 @@ class OptimizationConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.ancilla_dim < 1:
             raise ValueError("ancilla_dim must be >= 1")
+        if self.restarts < 1:
+            raise ValueError("restarts must be >= 1")
+        if self.copies < 1:
+            raise ValueError("copies must be >= 1")
+        # NaN fails the comparison too
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol {self.tol} must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -266,8 +343,8 @@ def _run_restarts(
 ):
     """Shared multistart driver over the fidelity forms; returns (best_x, hits).
 
-    Each start gets one L-BFGS descent on the smoothed objective, and the
-    winner by exact objective one more to polish it. Degenerate draws
+    Each start gets one descent on the smoothed objective, and the winner
+    by exact objective one more to polish it. Degenerate draws
     evaluate to +inf and are dropped.
     """
 
@@ -288,9 +365,6 @@ def _run_restarts(
         # gauge-invariant: moduli of the columns rounded to 1e-9
         return tuple(np.round(np.abs(_columns_from_params(x, d_eff)).ravel(), 9))
 
-    # exploration restarts only need to identify the best basin; the winner
-    # is polished to full precision afterwards
-    explore_opts = {"ftol": cfg.tol}
     best_x = None
     best_val = -np.inf
     best_key = None
@@ -301,7 +375,9 @@ def _run_restarts(
         rng = np.random.default_rng([*stream, r])
         starts.append(rng.standard_normal(4 * d_eff))
     for x0 in starts:
-        res = minimize(neg_smooth, x0, jac=True, method="L-BFGS-B", options=explore_opts)
+        # exploration restarts only need to identify the best basin; the
+        # winner is polished to full precision afterwards
+        res = minimize(neg_smooth, x0, ftol=cfg.tol)
         try:
             val = exact(res.x)
         except DegenerateColumnsError:
@@ -320,8 +396,7 @@ def _run_restarts(
         raise RuntimeError("all restarts failed (degenerate parameter draws)")
     # restarts whose exploration value reached the winning basin
     hits = sum(1 for v in values if v >= best_val - 1e-4)
-    polish_opts = {"ftol": 1e-15, "gtol": 1e-12}
-    res = minimize(neg_smooth, best_x, jac=True, method="L-BFGS-B", options=polish_opts)
+    res = minimize(neg_smooth, best_x, ftol=1e-15, gtol=1e-12)
     try:
         if exact(res.x) >= best_val:
             best_x = res.x
@@ -336,7 +411,7 @@ def optimize(
     _stream: tuple[int, ...] | None = None,
     _extra_starts: Sequence[np.ndarray] = (),
 ) -> OptimizationResult:
-    """Best 1->cfg.copies machine found for the set over random-restart L-BFGS."""
+    """Best 1->cfg.copies machine found for the set over random-restart BFGS."""
     copies = cfg.copies
     psis = np.column_stack(input_set.states())
     d_eff = effective_dim(copies, cfg.symmetric, cfg.ancilla_dim)

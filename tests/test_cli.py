@@ -333,18 +333,23 @@ def test_manifest_records_the_parsed_command(tmp_path, capsys, monkeypatch):
     assert shlex.split(command)[1:] == ["verify", "--machine", "uqcm", "--set", inline, "--out", str(out)]
 
 
-def test_verify_never_imports_scipy():
-    # a fresh interpreter, since this one has imported scipy already
+def test_no_command_imports_scipy():
+    # a fresh interpreter, so that only the commands' own imports count
     script = textwrap.dedent(
         """
         import contextlib, io, sys
         import clonebench.cli as cli
-        with contextlib.redirect_stdout(io.StringIO()):
-            for machine in ("uqcm", "pqcm-economic", "pqcm-ancilla", "nclone:3"):
-                assert cli.main(["verify", "--machine", machine, "--set", "trio"]) == 0
-            print("scipy.optimize" in sys.modules, file=sys.stderr)
-            assert cli.main(["optimize", "--set", "trio", "--restarts", "1"]) == 0
-            print("scipy.optimize" in sys.modules, file=sys.stderr)
+        commands = [
+            ["verify", "--machine", "uqcm", "--set", "trio"],
+            ["optimize", "--set", "trio", "--restarts", "1"],
+            ["nclone", "--n", "2", "--restarts", "1"],
+            ["scan", "--resolution", "8"],
+        ]
+        for argv in commands:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0, argv
+            loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+            print(argv[0], loaded, file=sys.stderr)
         """
     )
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -354,7 +359,7 @@ def test_verify_never_imports_scipy():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.split() == ["False", "True"]
+    assert proc.stderr.splitlines() == [f"{cmd} []" for cmd in ("verify", "optimize", "nclone", "scan")]
 
 
 def test_parser_reuse_keeps_no_state(tmp_path, capsys):

@@ -48,6 +48,19 @@ def test_config_validation():
         OptimizationConfig(mode="bogus")
     with pytest.raises(ValueError):
         OptimizationConfig(ancilla_dim=0)
+    # rejected when the config is made, not reported later as failed restarts
+    bad = [
+        ("restarts", 0),
+        ("restarts", -3),
+        ("copies", 0),
+        ("tol", 0.0),
+        ("tol", -1e-6),
+        ("tol", math.nan),
+        ("tol", math.inf),
+    ]
+    for field, value in bad:
+        with pytest.raises(ValueError, match=field):
+            OptimizationConfig(**{"restarts": 1, field: value})
 
 
 def test_effective_dim():
@@ -130,6 +143,94 @@ def test_n_clone_forms_match_the_closed_form(n):
         )
 
 
+def rosenbrock(x):
+    value = (1.0 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2
+    grad = np.array(
+        [-2.0 * (1.0 - x[0]) - 400.0 * x[0] * (x[1] - x[0] ** 2), 200.0 * (x[1] - x[0] ** 2)]
+    )
+    return value, grad
+
+
+def test_descend_reaches_the_minimizer_of_a_convex_quadratic():
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((12, 12))
+    a = m @ m.T + np.eye(12)
+    center = rng.standard_normal(12)
+
+    def fun(x):
+        d = x - center
+        return 0.5 * d @ a @ d, a @ d
+
+    res = optimize_module._descend(fun, rng.standard_normal(12), ftol=1e-15, gtol=1e-12)
+    assert res.success
+    np.testing.assert_allclose(res.x, center, rtol=0.0, atol=1e-8)
+
+
+def test_descend_solves_rosenbrock_well_under_the_cap():
+    res = optimize_module._descend(rosenbrock, np.array([-1.2, 1.0]), ftol=1e-15, gtol=1e-10)
+    assert res.success
+    np.testing.assert_allclose(res.x, [1.0, 1.0], rtol=0.0, atol=1e-6)
+    assert res.nit < 100 < optimize_module.MAX_ITERS
+
+
+def test_descend_stops_at_a_non_finite_start():
+    x0 = np.array([0.5, -1.0])
+    res = optimize_module._descend(lambda x: (math.inf, np.zeros_like(x)), x0)
+    assert not res.success
+    assert res.nfev == 1 and res.nit == 0
+    np.testing.assert_array_equal(res.x, x0)
+
+
+def test_descend_fails_when_no_step_lowers_the_value():
+    # the reported gradient points uphill at the start, where the value is 0,
+    # so every trial step raises the value until the step length underflows
+    x0 = np.array([1.0, -2.0])
+    res = optimize_module._descend(lambda x: ((x - x0) @ (x - x0), x0.copy()), x0)
+    assert not res.success
+    assert res.nit == 0 and res.fun == 0.0
+    np.testing.assert_array_equal(res.x, x0)
+
+
+@pytest.mark.parametrize("outside", [math.inf, math.nan])
+def test_descend_backs_off_where_the_objective_is_not_finite(outside):
+    # finite only inside radius 0.5, which the first step, of length 1, leaves
+    center = np.array([0.3, -0.1, 0.2])
+    calls = []
+
+    def fun(x):
+        calls.append(None)
+        assert len(calls) < 1000, "the line search does not back off"
+        if x @ x >= 0.25:
+            return outside, np.zeros_like(x)
+        return (x - center) @ (x - center), 2.0 * (x - center)
+
+    res = optimize_module._descend(fun, np.zeros(3), ftol=1e-15, gtol=1e-10)
+    assert res.success
+    np.testing.assert_allclose(res.x, center, rtol=0.0, atol=1e-8)
+
+
+def test_descend_skips_updates_without_curvature():
+    # a weighted Huber loss: linear where the descent starts, so the first
+    # steps see no change in the gradient and must leave the inverse Hessian unset
+    weights = np.array([1.0, 100.0])
+
+    def fun(x):
+        inside = np.abs(x) <= 1.0
+        value = np.where(inside, 0.5 * x * x, np.abs(x) - 0.5)
+        return weights @ value, weights * np.where(inside, x, np.sign(x))
+
+    res = optimize_module._descend(fun, np.array([10.0, 10.0]), ftol=1e-15, gtol=1e-10)
+    assert res.success
+    np.testing.assert_allclose(res.x, [0.0, 0.0], rtol=0.0, atol=1e-8)
+    assert res.nit < 50
+
+
+def test_descend_is_deterministic():
+    runs = [optimize_module._descend(rosenbrock, np.array([-1.2, 1.0])) for _ in range(2)]
+    assert runs[0].x.tobytes() == runs[1].x.tobytes()
+    assert runs[0][1:] == runs[1][1:]
+
+
 @pytest.fixture
 def recorded_minimize(monkeypatch):
     """Records (objective, result) of every local search the driver runs."""
@@ -182,8 +283,8 @@ def test_scan_exploration_restarts_converge(recorded_minimize):
     ids=["optimize_n-8", "full-ancilla-4"],
 )
 def test_local_searches_stop_far_below_the_iteration_cap(recorded_minimize, search):
-    # the searches leave L-BFGS-B at scipy's default cap of 15000 iterations;
-    # the hardest ones, 1->8 and 64 parameters, converge well inside 600
+    # the descent's cap is 15000 iterations; the hardest searches, 1->8 and
+    # 64 parameters, converge well inside 600
     search()
     assert max(res.nit for _, res in recorded_minimize) < 600
 
