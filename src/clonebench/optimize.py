@@ -11,17 +11,23 @@ embedded from the symmetric subspace, so every iterate is a valid isometry.
 Every copy fidelity is a Hermitian form in the two columns (Fiurasek, PRA 64,
 062310, 2001). With y the real and imaginary parts of the stacked columns,
 F_n = y^T R_n y for a real symmetric stack R built once per input set, one
-form per (copy, state), so one evaluation is one stacked matrix product and
-its gradient is 2 R_n y, pulled back through the Gram-Schmidt step. Local
-descent is BFGS (`_descend`) with independent random restarts; the hard min
-objective is smoothed with a log-sum-exp during the search and the exact
-objective is re-evaluated for reporting.
+form per (copy, state). One evaluation (`_search_objective`) is fused real
+arithmetic on the raw parameters read as a 4 x d matrix X: the Gram matrix
+of X gives the scalars of the Gram-Schmidt map M, the columns are Y = M X,
+the fidelities are one stacked product R y, and the gradient G = 2 sum w_n
+R_n y pulls back as M^T G + K X, with K a 4 x 4 matrix of scalars. That is
+about 30 numpy calls on 4 x d arrays, and `_columns_from_params` builds the
+reported machine through the same Gram-Schmidt. Local descent is BFGS
+(`_descend`) with independent random restarts; the hard min objective is
+smoothed with a log-sum-exp during the search, and the exact objective is
+re-evaluated for reporting.
 
 A search is set by OptimizationConfig: restarts, the exploration tolerance,
 the objective mode, the parameterization (symmetric, ancilla_dim, copies) and
 the seed. A descent stops when one step lowers the smoothed objective by at
 most tol relative to its size, or when its gradient vanishes; the winner is
-then polished with tolerances near machine precision. No search sets an
+then polished with tolerances near machine precision, for max-min through
+the softmin sharpnesses POLISH_SHARPNESS in turn. No search sets an
 iteration cap: descents stop on the tolerance, far inside MAX_ITERS.
 
 The searches call the module attribute `minimize`, bound to `_descend`, so a
@@ -31,6 +37,7 @@ caller can wrap every local descent in one place.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass, replace
@@ -43,6 +50,7 @@ from .qlinalg import DegenerateColumnsError, sym_basis
 from .states import TWO_PI, BlochPoint, InputSet, equatorial_trio
 
 SMOOTH_SHARPNESS = 500.0  # log-sum-exp softening of the hard min
+POLISH_SHARPNESS = (5e2, 5e3, 5e4, 5e5, 5e6, 5e7)  # the max-min polish stages
 PENALTY_WEIGHT = 100.0  # weight of the fidelity variance in equal_fidelity_penalty
 DEGENERATE_OVERLAP = 1.0 - 1e-9  # two states this close count as coinciding
 MAX_ITERS = 15000  # descent iteration cap, scipy L-BFGS-B's default
@@ -68,8 +76,9 @@ def _descend(fun, x0, ftol: float = 1e-6, gtol: float = 1e-5) -> _Descent:
     1e-12 y.y is skipped, and steepest descent replaces -Hg when that is not
     a descent direction. Each step backtracks from t = 1 to the Armijo
     condition, by quadratic interpolation clamped to [0.1 t, 0.5 t], or by
-    halving where the value is not finite. The descent stops with success when
-    max|g| <= gtol or when one step lowers the value by at most
+    halving where the value is not finite or where the step rounds away, so
+    that x + t p == x is never taken for a step. The descent stops with success
+    when max|g| <= gtol or when one step lowers the value by at most
     ftol * max(|f_k|, |f_k+1|, 1), the two tests of scipy's L-BFGS-B; it fails
     when the start value is not finite or the step falls below MIN_STEP.
     """
@@ -83,13 +92,13 @@ def _descend(fun, x0, ftol: float = 1e-6, gtol: float = 1e-5) -> _Descent:
         if np.abs(g).max() <= gtol:
             return _Descent(x, f, nit, nfev, True)
         if h is None:
-            p = g / -math.sqrt(g @ g)
+            p = g / -math.sqrt(g.dot(g))
         else:
-            p = -(h @ g)
-        slope = g @ p
+            p = -h.dot(g)
+        slope = g.dot(p)
         if not slope < 0.0:
             p = -g
-            slope = -(g @ g)
+            slope = -g.dot(g)
         t = 1.0
         while True:
             x_new = x + t * p
@@ -98,29 +107,33 @@ def _descend(fun, x0, ftol: float = 1e-6, gtol: float = 1e-5) -> _Descent:
             if not math.isfinite(f_new):
                 t *= 0.5
             elif f_new <= f + ARMIJO_C1 * t * slope:
-                break
+                # the test passes also when x_new rounds to x; that is no step
+                s = x_new - x
+                if f_new < f or (f_new == f and s.any()):
+                    break
+                t *= 0.5
             else:
                 # minimizer of the parabola through f, slope and f_new
                 t_min = -slope * t * t / (2.0 * (f_new - f - slope * t))
                 t = min(max(t_min, 0.1 * t), 0.5 * t)
             if t < MIN_STEP:
                 return _Descent(x, f, nit, nfev, False)
-        s = x_new - x
         y = g_new - g
         decrease = f - f_new
         x, g = x_new, g_new
         if decrease <= ftol * max(abs(f), abs(f_new), 1.0):
             return _Descent(x, f_new, nit + 1, nfev, True)
         f = f_new
-        sy = s @ y
-        yy = y @ y
+        sy = s.dot(y)
+        yy = y.dot(y)
         if sy > 1e-12 * yy:
             if h is None:
                 h = np.eye(x.size) * (sy / yy)
-            hy = h @ y
+            hy = h.dot(y)
             rho = 1.0 / sy
-            shy = np.outer(s, hy)
-            h += (rho * rho * (y @ hy) + rho) * np.outer(s, s) - rho * (shy + shy.T)
+            # the rank-2 update as A + A^T, so h stays exactly symmetric
+            half = s[:, None] * ((0.5 * rho * (rho * y.dot(hy) + 1.0)) * s - rho * hy)
+            h += half + half.T
     return _Descent(x, f, MAX_ITERS, nfev, False)
 
 
@@ -216,69 +229,69 @@ def effective_dim(copies: int, symmetric: bool, ancilla_dim: int) -> int:
     return base * ancilla_dim
 
 
+def _rows4(*entries: float) -> np.ndarray:
+    """The 4-row matrix with these entries in row-major order."""
+    return np.array(entries).reshape(4, -1)
+
+
+def _gram_schmidt(x: np.ndarray, d: int):
+    """Gram-Schmidt on the two raw columns, in real arithmetic.
+
+    x is read as the 4 x d matrix X with rows Re c0, Re c1, Im c0, Im c1. The
+    orthonormal columns q0 = c0 / n0 and q1 = (c1 - gamma c0) / n1, with
+    gamma = c0^dag c1 / |c0|^2 = a + ib, come back in the same layout as
+    Y = M X, where M is the 4 x 4 real matrix of (n0, n1, a, b). The second
+    column is orthogonalized in two passes, each from the Gram matrix of its
+    own input, so q1 stays orthogonal to q0 for nearly parallel raw columns
+    and n1 never comes from the cancelling |c1|^2 - |c0^dag c1|^2 / |c0|^2.
+    Returns X, Y, n0, n1, a and b.
+
+    The small products use ndarray.dot, which costs a third of `@` here.
+    """
+    xm = x.reshape(4, d)
+    (g00, g01, _, g03), (_, _, g12, _), (_, _, g22, g23), _ = xm.dot(xm.T).tolist()
+    nn0 = g00 + g22
+    if nn0 <= 1e-20:
+        raise DegenerateColumnsError("first raw column is numerically zero")
+    a = (g01 + g23) / nn0
+    b = (g03 - g12) / nn0
+    # rows c0 and w = c1 - gamma c0; the second pass repeats this step on w
+    w = _rows4(
+        1.0, 0.0, 0.0, 0.0,
+        -a, 1.0, b, 0.0,
+        0.0, 0.0, 1.0, 0.0,
+        -b, 0.0, -a, 1.0,
+    ).dot(xm)  # fmt: skip
+    (_, h01, _, h03), (_, h11, h12, _), (_, _, _, h23), (_, _, _, h33) = w.dot(w.T).tolist()
+    a2 = (h01 + h23) / nn0
+    b2 = (h03 - h12) / nn0
+    # |w|^2 minus its part along c0, which the first pass left tiny
+    nn1 = h11 + h33 - (a2 * a2 + b2 * b2) * nn0
+    if nn1 <= 1e-20:
+        raise DegenerateColumnsError("raw columns are numerically parallel")
+    n0 = math.sqrt(nn0)
+    n1 = math.sqrt(nn1)
+    r0, r1 = 1.0 / n0, 1.0 / n1
+    ym = _rows4(
+        r0, 0.0, 0.0, 0.0,
+        -a2 * r1, r1, b2 * r1, 0.0,
+        0.0, 0.0, r0, 0.0,
+        -b2 * r1, 0.0, -a2 * r1, r1,
+    ).dot(w)  # fmt: skip
+    return xm, ym, n0, n1, a + a2, b + b2
+
+
 def _columns_from_params(params: np.ndarray, d_eff: int) -> np.ndarray:
-    """Two orthonormal complex columns from 4*d_eff raw reals (Gram-Schmidt,
-    specialized to two columns)."""
+    """Two orthonormal complex columns (d_eff x 2) from 4*d_eff raw reals."""
     x = np.asarray(params, dtype=float)
     if x.size != 4 * d_eff:
         raise ValueError(f"expected {4 * d_eff} parameters, got {x.size}")
-    z = x[: 2 * d_eff] + 1j * x[2 * d_eff :]
-    c0 = z[:d_eff]
-    c1 = z[d_eff:]
-    n0 = math.sqrt(np.vdot(c0, c0).real)
-    if n0 <= 1e-10:
-        raise DegenerateColumnsError("first raw column is numerically zero")
-    c0 = c0 / n0
-    c1 = c1 - np.vdot(c0, c1) * c0
-    c1 = c1 - np.vdot(c0, c1) * c0  # re-orthogonalization pass
-    n1 = math.sqrt(np.vdot(c1, c1).real)
-    if n1 <= 1e-10:
-        raise DegenerateColumnsError("raw columns are numerically parallel")
-    q = np.empty((d_eff, 2), dtype=complex)
-    q[:, 0] = c0
-    q[:, 1] = c1 / n1
-    return q
-
-
-def _columns_gradient(params: np.ndarray, q: np.ndarray, grad_y: np.ndarray) -> np.ndarray:
-    """Pull a gradient in the stacked columns (`_stack(q)` layout) back
-    through `_columns_from_params` to the raw parameters."""
-    d = q.shape[0]
-    g = (grad_y[: 2 * d] + 1j * grad_y[2 * d :]).reshape(2, d)  # d/dRe + i d/dIm
-    z = (params[: 2 * d] + 1j * params[2 * d :]).reshape(2, d)
-    # forward: z0 = n0 q0 and z1 = alpha q0 + n1 q1
-    r = q.conj().T @ z.T
-    n0, alpha, n1 = r[0, 0].real, r[0, 1], r[1, 1].real
-    q0, q1 = q.T
-    g_w = (g[1] - q1 * np.vdot(q1, g[1]).real) / n1  # w = n1 q1 = z1 - alpha q0
-    g_q0 = g[0] - alpha.conjugate() * g_w - np.vdot(g_w, q0) * z[1]
-    g_z0 = (g_q0 - q0 * np.vdot(q0, g_q0).real) / n0
-    g_z = np.concatenate([g_z0, g_w - q0 * np.vdot(q0, g_w)])
-    return np.concatenate([g_z.real, g_z.imag])
-
-
-def parameterize(
-    params: np.ndarray,
-    copies: int = 2,
-    symmetric: bool = False,
-    ancilla_dim: int = 1,
-) -> CloneIsometry:
-    """Turn unconstrained reals into a feasible CloneIsometry."""
-    d_eff = effective_dim(copies, symmetric, ancilla_dim)
-    q = _columns_from_params(params, d_eff)
-    if symmetric:
-        q = _sym_embedding(copies, ancilla_dim) @ q
-    return CloneIsometry(q, copies=copies, ancilla_dim=ancilla_dim)
+    y = _gram_schmidt(x, d_eff)[1]
+    return (y[:2] + 1j * y[2:]).T
 
 
 # ---------------------------------------------------------------------------
 # fidelity kernel: each fidelity is a real quadratic form in the columns
-
-
-def _stack(q: np.ndarray) -> np.ndarray:
-    """Real coordinates y = [Re v; Im v] of the stacked columns v = [q0; q1]."""
-    v = q.T.ravel()
-    return np.concatenate([v.real, v.imag])
 
 
 def _real_forms(h: np.ndarray) -> np.ndarray:
@@ -306,7 +319,8 @@ def _copy_forms(
 
 
 def _fidelities(forms: np.ndarray, q: np.ndarray) -> np.ndarray:
-    y = _stack(q)
+    """Fidelities of the columns q, through y = [Re q0, Re q1, Im q0, Im q1]."""
+    y = np.concatenate([q.T.real, q.T.imag]).ravel()
     return (forms @ y) @ y
 
 
@@ -316,18 +330,60 @@ def _exact_objective(fids: np.ndarray, mode: str) -> float:
     return float(fids.mean() - PENALTY_WEIGHT * fids.var())
 
 
-def _smooth_objective(fids: np.ndarray, mode: str):
-    """Smoothed objective and its gradient in the fidelities."""
+def _search_objective(
+    x: np.ndarray, forms: np.ndarray, d: int, mode: str, sharpness: float = SMOOTH_SHARPNESS
+):
+    """The search's objective at raw parameters x: the negated smoothed
+    objective and its gradient, or (inf, zeros) for a degenerate draw.
+
+    max-min is smoothed by the log-sum-exp softmin of the given sharpness;
+    equal-fidelity-penalty needs no smoothing. With F_n = y^T R_n y, the
+    gradient in y is G = 2 sum_n w_n R_n y for the objective's weights w.
+    Read as 4 x d, like X and Y = M X, it pulls back to X as M^T G + K X: the
+    first term holds M fixed, and the symmetric 4 x 4 K carries the change of
+    (n0, n1, gamma) through the Gram matrix of X.
+    """
+    try:
+        xm, ym, n0, n1, a, b = _gram_schmidt(x, d)
+    except DegenerateColumnsError:
+        return math.inf, np.zeros_like(x)
+    y = ym.ravel()
+    ry = forms @ y
+    fids = ry.dot(y)
     if mode == "max_min":
         lo = fids.min()
-        e = np.exp(-SMOOTH_SHARPNESS * (fids - lo))
+        e = np.exp((lo - fids) * sharpness)
         total = e.sum()
-        return lo - math.log(total) / SMOOTH_SHARPNESS, e / total
-    dev = fids - fids.mean()
-    return (
-        fids.mean() - PENALTY_WEIGHT * (dev @ dev) / fids.size,
-        (1.0 - 2.0 * PENALTY_WEIGHT * dev) / fids.size,
+        value = lo - math.log(total) / sharpness
+        gy = e.dot(ry) * (-2.0 / total)
+    else:
+        mean = fids.sum() / fids.size
+        dev = fids - mean
+        value = mean - PENALTY_WEIGHT * dev.dot(dev) / fids.size
+        gy = (1.0 - 2.0 * PENALTY_WEIGHT * dev).dot(ry) * (-2.0 / fids.size)
+    # Re and Im of g_k^dag q_j, with g_0, g_1 the gradient's complex columns
+    (p00, _, _, _), (p10, p11, p12, _), (_, _, p22, _), (p30, _, p32, p33) = (
+        gy.reshape(4, d).dot(ym.T).tolist()
     )
+    # the value's derivatives in n0, n1 and gamma (tr + i ti is the one in gamma)
+    d_n0 = -(p00 + p22) / n0
+    d_n1 = -(p11 + p33) / n1
+    tr = -n0 * (p10 + p32) / n1
+    ti = -n0 * (p12 - p30) / n1
+    nn0 = n0 * n0
+    r0, r1 = 1.0 / n0, 1.0 / n1
+    k11 = d_n1 * r1
+    k00 = d_n0 * r0 - 2.0 * (tr * a - ti * b) / nn0 + k11 * (a * a + b * b)
+    k01 = tr / nn0 - k11 * a
+    k03 = -ti / nn0 - k11 * b
+    # [M^T | K] @ [G; X] in one product
+    mk = _rows4(
+        r0, -a * r1, 0.0, -b * r1,  k00, k01, 0.0, k03,
+        0.0, r1, 0.0, 0.0,  k01, k11, -k03, 0.0,
+        0.0, b * r1, r0, -a * r1,  0.0, -k03, k00, k01,
+        0.0, 0.0, 0.0, r1,  k03, 0.0, k01, k11,
+    )  # fmt: skip
+    return -value, mk.dot(np.concatenate((gy, x)).reshape(8, d)).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -344,19 +400,11 @@ def _run_restarts(
     """Shared multistart driver over the fidelity forms; returns (best_x, hits).
 
     Each start gets one descent on the smoothed objective, and the winner
-    by exact objective one more to polish it. Degenerate draws
-    evaluate to +inf and are dropped.
+    by exact objective is polished: one more descent, or for max-min one per
+    stage of POLISH_SHARPNESS. Degenerate draws evaluate to +inf and are
+    dropped.
     """
-
-    def neg_smooth(x):
-        try:
-            q = _columns_from_params(x, d_eff)
-        except DegenerateColumnsError:
-            return math.inf, np.zeros_like(x)
-        y = _stack(q)
-        ry = forms @ y
-        value, weights = _smooth_objective(ry @ y, cfg.mode)
-        return -value, -_columns_gradient(x, q, 2.0 * (weights @ ry))
+    neg_smooth = functools.partial(_search_objective, forms=forms, d=d_eff, mode=cfg.mode)
 
     def exact(x):
         return _exact_objective(_fidelities(forms, _columns_from_params(x, d_eff)), cfg.mode)
@@ -396,12 +444,19 @@ def _run_restarts(
         raise RuntimeError("all restarts failed (degenerate parameter draws)")
     # restarts whose exploration value reached the winning basin
     hits = sum(1 for v in values if v >= best_val - 1e-4)
-    res = minimize(neg_smooth, best_x, ftol=1e-15, gtol=1e-12)
-    try:
-        if exact(res.x) >= best_val:
-            best_x = res.x
-    except DegenerateColumnsError:
-        pass
+    # max-min polishes through ever sharper softmins, each stage from the
+    # last: a softmin's maximizer keeps a spread of order 1 / sharpness, and
+    # so a value below the optimum, wherever the optimal multipliers on the
+    # fidelities are unequal
+    x = best_x
+    for sharpness in POLISH_SHARPNESS if cfg.mode == "max_min" else (SMOOTH_SHARPNESS,):
+        x = minimize(functools.partial(neg_smooth, sharpness=sharpness), x, ftol=1e-15, gtol=1e-12).x
+        try:
+            val = exact(x)
+        except DegenerateColumnsError:
+            break
+        if val >= best_val:
+            best_x, best_val = x, val
     return best_x, hits
 
 

@@ -44,6 +44,10 @@ from clonebench.states import (
     tetrahedron,
 )
 
+# every criterion runs full-budget searches or scans; `pytest -m "not slow"`
+# leaves the file out
+pytestmark = pytest.mark.slow
+
 F_PHASE = 0.5 + math.sqrt(2.0) / 4.0
 F_UNIVERSAL = 5.0 / 6.0
 

@@ -187,6 +187,7 @@ def test_nclone_n2(tmp_path, capsys):
     assert doc["oracle_delta"] < 1e-10
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("n", [6, 8])
 def test_nclone_reaches_the_parity_bound_at_default_restarts(tmp_path, capsys, n):
     out = tmp_path / "nclone.json"
