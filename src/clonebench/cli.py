@@ -23,10 +23,7 @@ import numpy as np
 
 from . import __version__
 from .cloners import (
-    AncillaCloner,
     CloneIsometry,
-    Cloner,
-    EconomicCloner,
     ancilla_pqcm,
     constraint_check,
     economic_pqcm,
@@ -142,11 +139,11 @@ def resolve_set(spec: str) -> InputSet:
 def _set_from_json(text: str, source: str) -> InputSet:
     try:
         return InputSet.from_json(text)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise UsageError(f"bad input set in {source}: {type(exc).__name__}: {exc}")
 
 
-def resolve_machine(name: str) -> Cloner:
+def resolve_machine(name: str) -> CloneIsometry:
     if name == "pqcm-economic":
         return economic_pqcm()
     if name == "pqcm-ancilla":
@@ -160,7 +157,7 @@ def resolve_machine(name: str) -> Cloner:
             raise UsageError(f"bad machine spec {name!r}; expected nclone:<n>")
         if not 1 <= n <= 10:
             raise UsageError(f"nclone n={n} outside 1..10")
-        return optimal_n_cloner(n)
+        return to_isometry(optimal_n_cloner(n))
     raise UsageError(f"unknown machine {name!r}")
 
 
@@ -223,9 +220,8 @@ def _is_equatorial(input_set: InputSet) -> bool:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    machine = resolve_machine(args.machine)
+    v = resolve_machine(args.machine)
     input_set = resolve_set(args.set)
-    v = to_isometry(machine)
     if v.copies != 2 and not _is_equatorial(input_set):
         raise UsageError(f"machine {args.machine!r} clones equatorial sets only")
     fidelities = [
@@ -233,16 +229,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for s in range(len(input_set))
         for k in range(min(v.copies, 2))
     ]
-    report = constraint_check(machine)
+    report = constraint_check(v.matrix)
     doc = {
         "machine": args.machine,
         "set": input_set.label,
         "constraint_residuals": report.as_dict(),
         "fidelities": fidelities,
     }
-    if isinstance(machine, (EconomicCloner, AncillaCloner)):
+    if not args.machine.startswith("nclone:"):
         for copy in range(2):
-            d = decompose_equatorial(machine, copy=copy)
+            d = decompose_equatorial(v, copy=copy)
             doc[f"decomposition_copy{copy}"] = asdict(d)
     # expected closed-form value, when one applies to this machine/set pair
     expected = None
@@ -250,7 +246,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         expected = closed_form_bound("universal_1to2")
     elif _is_equatorial(input_set):
         if args.machine.startswith("nclone:"):
-            expected = closed_form_bound("phase_1ton", machine.n)
+            expected = closed_form_bound("phase_1ton", v.copies)
         else:
             expected = closed_form_bound("phase_1to2")
     ok = report.passed

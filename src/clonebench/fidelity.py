@@ -1,15 +1,16 @@
 """Copy fidelities, the trigonometric fidelity decomposition, and the 1->n
 closed form.
 
-For an equatorial input (|0> + e^{i phi}|1>)/sqrt(2) the single-copy fidelity
-of any 1->2 machine is a second-order trigonometric polynomial in phi,
+The ground truth is `copy_fidelity`: the overlap of the input with the
+reduced density matrix of the output ket V|psi> on one copy. For an
+equatorial input (|0> + e^{i phi}|1>)/sqrt(2) it is, for any machine, a
+second-order trigonometric polynomial in phi,
 
     F(phi) = lambda1 cos(2 phi + psi1) + lambda2 cos(phi + psi2) + lambda3,
 
-and the lambdas are simple bilinear combinations of the machine coefficients.
-The ground truth is `copy_fidelity`: the overlap of the input with the
-reduced density matrix of the output ket V|psi> on one copy. The coefficient
-formulas and the 1->n closed form are verified against it.
+because the reduced state is quadratic in the input ket. Five equally spaced
+phases therefore fix F exactly, and `decompose_equatorial` reads the lambdas
+off a 5-point DFT of the oracle. The 1->n closed form is verified against it.
 """
 
 from __future__ import annotations
@@ -17,18 +18,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
-from .cloners import (
-    AncillaCloner,
-    CloneIsometry,
-    EconomicCloner,
-    InvalidMachineError,
-    SymmetricNCloner,
-    constraint_check,
-)
+from .cloners import CloneIsometry, InvalidMachineError, SymmetricNCloner, constraint_check
 from .qlinalg import partial_trace
 from .states import TWO_PI, BlochPoint, bloch_to_state
 
@@ -77,46 +70,19 @@ def _polar(z: complex) -> tuple[float, float, bool]:
     return mag, cmath.phase(z) % TWO_PI, True
 
 
-def _ancilla_view(c: Union[EconomicCloner, AncillaCloner], copy: int):
-    """Coefficients and ancilla kets (a..h, A..H) for the requested copy.
-
-    The copy-B fidelity comes from the copy-A formulas with b<->c and f<->g
-    interchanged (with their kets).
-    """
-    one = np.ones(1, dtype=complex)
-    if isinstance(c, EconomicCloner):
-        coeffs = [c.a, c.b, c.c, c.d, c.e, c.f, c.g, c.h]
-        kets = [one] * 8
-    else:
-        coeffs = [c.a, c.b, c.c, c.d, c.e, c.f, c.g, c.h]
-        kets = list(c.kets)
-    if copy == 1:
-        for i, j in ((1, 2), (5, 6)):
-            coeffs[i], coeffs[j] = coeffs[j], coeffs[i]
-            kets[i], kets[j] = kets[j], kets[i]
-    elif copy != 0:
-        raise IndexError(f"copy index {copy} out of range for 2 copies")
-    return coeffs, kets
-
-
-def decompose_equatorial(c: Union[EconomicCloner, AncillaCloner], copy: int = 0) -> FidelityDecomposition:
-    """lambda/psi record of the equatorial fidelity of a 1->2 machine."""
-    report = constraint_check(c)
+def decompose_equatorial(v: CloneIsometry, copy: int = 0) -> FidelityDecomposition:
+    """lambda/psi record of one copy's equatorial fidelity: F at five equally
+    spaced phases has DFT coefficients c_k, and lambda1 = 2|c_2|,
+    lambda2 = 2|c_1|, lambda3 = c_0, psi1 = arg c_2, psi2 = arg c_1."""
+    report = constraint_check(v.matrix)
     if not report.passed:
         raise InvalidMachineError(f"constraint residuals too large: {report.as_dict()}")
-    (a, b, cc, d, e, f, g, h), (A, B, C, D, E, F, G, H) = _ancilla_view(c, copy)
-    ov = np.vdot  # ov(X, Y) = <X|Y>
-    z2 = 0.5 * (e * np.conj(cc) * ov(C, E) + f * np.conj(d) * ov(D, F))
-    z1 = 0.5 * (
-        a * np.conj(cc) * ov(C, A)
-        + e * np.conj(g) * ov(G, E)
-        + b * np.conj(d) * ov(D, B)
-        + f * np.conj(h) * ov(H, F)
-    )
-    lam3 = 0.5 + 0.5 * float(np.real(a * np.conj(g) * ov(G, A) + b * np.conj(h) * ov(H, B)))
-    lam1, psi1, ok1 = _polar(complex(z2))
-    lam2, psi2, ok2 = _polar(complex(z1))
-    return FidelityDecomposition(lam1, lam2, lam3, psi1, psi2, ok1, ok2)
+    phis = np.arange(5) * (TWO_PI / 5.0)
+    f = np.array([copy_fidelity(v, BlochPoint(math.pi / 2.0, p), copy) for p in phis])
+    c = np.exp(-1j * np.outer(np.arange(3), phis)) @ f / 5.0
+    lam1, psi1, ok1 = _polar(complex(2.0 * c[2]))
+    lam2, psi2, ok2 = _polar(complex(2.0 * c[1]))
+    return FidelityDecomposition(lam1, lam2, float(c[0].real), psi1, psi2, ok1, ok2)
 
 
 # ---------------------------------------------------------------------------

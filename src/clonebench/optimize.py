@@ -489,18 +489,6 @@ def optimize(
     )
 
 
-def ancilla_sweep(
-    input_set: InputSet, dims: Sequence[int], cfg: OptimizationConfig
-) -> list[tuple[int, float]]:
-    """Best objective per ancilla dimension, otherwise identical config."""
-    if not dims:
-        raise ValueError("dims must be nonempty")
-    out = []
-    for dim in dims:
-        out.append((int(dim), optimize(input_set, replace(cfg, ancilla_dim=int(dim))).objective))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # contour scan over trio phases
 

@@ -61,13 +61,6 @@ class InputSet:
     def states(self) -> list[np.ndarray]:
         return [bloch_to_state(p) for p in self.points]
 
-    def to_json(self) -> str:
-        doc = {
-            "label": self.label,
-            "points": [{"theta": p.theta, "phi": p.phi} for p in self.points],
-        }
-        return json.dumps(doc)
-
     @classmethod
     def from_json(cls, text: str) -> "InputSet":
         doc = json.loads(text)

@@ -1,11 +1,13 @@
-"""Shared helpers: random valid machines for property tests, and the
-explicit density-matrix partial trace the ket oracle is checked against."""
+"""Shared helpers: random isometries for property tests, input-set JSON,
+and the explicit density-matrix partial trace the ket oracle is checked
+against."""
 
+import json
 import math
 
 import numpy as np
 
-from clonebench.cloners import AncillaCloner, EconomicCloner
+from clonebench.cloners import CloneIsometry
 
 
 def random_columns(rng, dim):
@@ -15,29 +17,20 @@ def random_columns(rng, dim):
 
 
 def random_economic(rng):
-    q = random_columns(rng, 4)
-    return EconomicCloner(*q[:, 0], *q[:, 1])
+    """Random ancilla-free 1->2 isometry."""
+    return CloneIsometry(random_columns(rng, 4))
 
 
 def random_ancilla(rng, ancilla_dim=2):
-    """Random valid machine with an ancilla: draw orthonormal columns in the
-    full space and split each slot block into a coefficient and a unit ket."""
-    q = random_columns(rng, 4 * ancilla_dim)
-    coeffs = []
-    kets = []
-    default = np.zeros(ancilla_dim, dtype=complex)
-    default[0] = 1.0
-    for col in range(2):
-        for slot in range(4):
-            block = q[slot * ancilla_dim : (slot + 1) * ancilla_dim, col]
-            norm = np.linalg.norm(block)
-            if norm < 1e-12:
-                coeffs.append(0.0)
-                kets.append(default)
-            else:
-                coeffs.append(norm)
-                kets.append(block / norm)
-    return AncillaCloner(*coeffs, kets=tuple(kets), ancilla_dim=ancilla_dim)
+    """Random 1->2 isometry with an ancilla of dimension `ancilla_dim`."""
+    return CloneIsometry(random_columns(rng, 4 * ancilla_dim), ancilla_dim=ancilla_dim)
+
+
+def input_set_json(s):
+    """The input-set JSON document that `InputSet.from_json` reads."""
+    return json.dumps(
+        {"label": s.label, "points": [{"theta": p.theta, "phi": p.phi} for p in s.points]}
+    )
 
 
 def reduced_by_einsum(psi, dims, keep):

@@ -15,6 +15,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import input_set_json
 
 import clonebench.cli as cli
 from clonebench.cli import main, resolve_machine, resolve_set
@@ -38,7 +39,7 @@ def test_resolve_set_variants(tmp_path):
     assert len(resolve_set("six-state")) == 6
     assert len(resolve_set("pair:90")) == 2
     assert len(resolve_set("equator:12")) == 12
-    inline = equatorial_trio().to_json()
+    inline = input_set_json(equatorial_trio())
     assert resolve_set(inline).label == "trio"
     path = tmp_path / "set.json"
     path.write_text(inline)
@@ -46,8 +47,9 @@ def test_resolve_set_variants(tmp_path):
 
 
 def test_resolve_machine_variants():
-    assert resolve_machine("pqcm-economic").a == 1.0
-    assert resolve_machine("nclone:4").n == 4
+    assert resolve_machine("pqcm-economic").matrix[0, 0] == 1.0
+    assert resolve_machine("uqcm").ancilla_dim == 2
+    assert resolve_machine("nclone:4").copies == 4
     from clonebench.cli import UsageError
 
     with pytest.raises(UsageError):
@@ -251,6 +253,7 @@ def run_cli(argv):
         ["scan", "--resolution", "8", "--budget", "-1"],
         ["scan", "--resolution", "8", "--budget", "nan"],
         ["scan", "--resolution", "8", "--budget", "inf"],
+        ["optimize", "--set", '{"points": ' + "[" * 2000 + "]" * 2000 + "}"],
     ],
 )
 def test_malformed_input_exits_2(argv, capsys):
@@ -328,7 +331,7 @@ def test_manifest_records_the_parsed_command(tmp_path, capsys, monkeypatch):
     assert main() == 0
     assert read_json(str(out) + ".manifest.json")["command"] == manifest["command"]
     # quoted, so an inline set is one shell word
-    inline = equatorial_trio().to_json()
+    inline = input_set_json(equatorial_trio())
     assert main(["verify", "--machine", "uqcm", "--set", inline, "--out", str(out)]) == 0
     command = read_json(str(out) + ".manifest.json")["command"]
     assert shlex.split(command)[1:] == ["verify", "--machine", "uqcm", "--set", inline, "--out", str(out)]

@@ -11,9 +11,8 @@ from conftest import random_ancilla, random_columns, random_economic, reduced_by
 from clonebench.cli import resolve_machine
 from clonebench.cloners import (
     CloneIsometry,
-    EconomicCloner,
-    SymmetricNCloner,
     InvalidMachineError,
+    SymmetricNCloner,
     ancilla_pqcm,
     economic_pqcm,
     optimal_n_cloner,
@@ -36,14 +35,14 @@ def equatorial(phi):
 
 
 def test_copy_fidelity_pqcm_is_flat_on_equator():
-    v = to_isometry(economic_pqcm())
+    v = economic_pqcm()
     for phi in np.linspace(0.0, TWO_PI, 17, endpoint=False):
         for copy in range(2):
             assert abs(copy_fidelity(v, equatorial(phi), copy) - F_PHASE) < 1e-14
 
 
 def test_copy_fidelity_uqcm_is_universal():
-    v = to_isometry(uqcm())
+    v = uqcm()
     rng = np.random.default_rng(11)
     for _ in range(10):
         p = BlochPoint(rng.uniform(0.0, math.pi), rng.uniform(0.0, TWO_PI))
@@ -52,7 +51,7 @@ def test_copy_fidelity_uqcm_is_universal():
 
 
 def test_copy_fidelity_copy_index_range():
-    v = to_isometry(economic_pqcm())
+    v = economic_pqcm()
     with pytest.raises(IndexError):
         copy_fidelity(v, equatorial(0.0), 2)
 
@@ -72,7 +71,7 @@ def random_points(rng, count):
     "name", ["pqcm-economic", "pqcm-ancilla", "uqcm"] + [f"nclone:{n}" for n in range(1, 11)]
 )
 def test_copy_fidelity_matches_explicit_density_matrix(name):
-    v = to_isometry(resolve_machine(name))
+    v = resolve_machine(name)
     for p in random_points(np.random.default_rng(31), 4) + [equatorial(0.4)]:
         for copy in range(v.copies):
             assert abs(copy_fidelity(v, p, copy) - explicit_copy_fidelity(v, p, copy)) < 1e-13
@@ -103,28 +102,52 @@ def test_copy_fidelity_never_forms_the_output_density_matrix():
     assert peak < 1_000_000
 
 
-@pytest.mark.parametrize("maker", [random_economic, random_ancilla])
+def random_symmetric(rng, n):
+    q = random_columns(rng, n + 1)
+    return to_isometry(SymmetricNCloner(n=n, a=tuple(q[:, 0]), b=tuple(q[:, 1])))
+
+
+@pytest.mark.parametrize(
+    "maker",
+    [
+        random_economic,
+        random_ancilla,
+        pytest.param(lambda rng: random_ancilla(rng, 4), id="random_ancilla_dim4"),
+        *(
+            pytest.param(lambda rng, n=n: random_symmetric(rng, n), id=f"random_symmetric_{n}")
+            for n in (3, 6)
+        ),
+        *(
+            pytest.param(lambda rng, n=n: to_isometry(optimal_n_cloner(n)), id=f"nclone_{n}")
+            for n in range(3, 7)
+        ),
+    ],
+)
 def test_decompose_equatorial_matches_density_matrix(maker):
+    # F(phi) has degree 2, so its 5-point DFT reproduces every other phase
     rng = np.random.default_rng(23)
     phis = np.linspace(0.0, TWO_PI, 25, endpoint=False)
     for _ in range(10):
-        machine = maker(rng)
-        v = to_isometry(machine)
-        for copy in range(2):
-            d = decompose_equatorial(machine, copy=copy)
+        v = maker(rng)
+        for copy in range(v.copies):
+            d = decompose_equatorial(v, copy=copy)
             direct = [copy_fidelity(v, equatorial(p), copy) for p in phis]
             np.testing.assert_allclose(d.evaluate(phis), direct, atol=1e-12)
 
 
 def test_decompose_rejects_invalid_machine():
+    parallel = np.zeros((4, 2))
+    parallel[0] = 1.0
     with pytest.raises(InvalidMachineError):
-        decompose_equatorial(EconomicCloner(a=1.0, e=1.0))
+        decompose_equatorial(CloneIsometry(parallel))
 
 
 def test_optimal_machines_have_flat_decomposition():
-    for machine in (economic_pqcm(), ancilla_pqcm(0.6), uqcm()):
-        for copy in range(2):
-            d = decompose_equatorial(machine, copy=copy)
+    machines = [economic_pqcm(), ancilla_pqcm(0.6), uqcm()]
+    machines += [to_isometry(optimal_n_cloner(n)) for n in (3, 4)]
+    for v in machines:
+        for copy in range(v.copies):
+            d = decompose_equatorial(v, copy=copy)
             assert d.lambda1 < 1e-12
             assert d.lambda2 < 1e-12
             assert not d.psi1_defined

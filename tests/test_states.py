@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import input_set_json
 
 from clonebench.states import (
     TETRAHEDRON_THETA,
@@ -124,7 +125,7 @@ def test_empty_set_rejected():
 )
 def test_json_round_trip(pairs):
     s = custom(pairs, label="roundtrip")
-    back = InputSet.from_json(s.to_json())
+    back = InputSet.from_json(input_set_json(s))
     assert back.label == s.label
     assert all(
         a.theta == b.theta and a.phi == b.phi for a, b in zip(back.points, s.points)
@@ -134,4 +135,4 @@ def test_json_round_trip(pairs):
 def test_json_validates_against_schema():
     schema = load_schema("input_set.schema.json")
     for s in (equatorial_trio(), tetrahedron(), bb84(), six_state()):
-        jsonschema.validate(json.loads(s.to_json()), schema)
+        jsonschema.validate(json.loads(input_set_json(s)), schema)
