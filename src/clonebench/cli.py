@@ -29,7 +29,6 @@ from .cloners import (
     economic_pqcm,
     machine_to_json,
     optimal_n_cloner,
-    to_isometry,
     uqcm,
 )
 from .fidelity import closed_form_bound, copy_fidelity, decompose_equatorial, n_clone_fidelity
@@ -69,18 +68,8 @@ class UsageError(Exception):
     pass
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
 def _dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2, default=_json_default)
+    return json.dumps(doc, indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -157,19 +146,22 @@ def resolve_machine(name: str) -> CloneIsometry:
             raise UsageError(f"bad machine spec {name!r}; expected nclone:<n>")
         if not 1 <= n <= 10:
             raise UsageError(f"nclone n={n} outside 1..10")
-        return to_isometry(optimal_n_cloner(n))
+        return optimal_n_cloner(n)
     raise UsageError(f"unknown machine {name!r}")
 
 
-def _write_outputs(out: str | None, text: str, manifest: dict) -> None:
+def _write_outputs(
+    out: str | None, text: str, manifest: dict, side_outputs: tuple[str, ...] = ()
+) -> None:
     """Print the primary artifact; if --out was given, also write it and the
-    run manifest next to it."""
+    run manifest next to it. The manifest lists the artifact, then the
+    side_outputs, files the command writes itself."""
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
     if out is None:
         return
     with open(out, "w") as fh:
         fh.write(text if text.endswith("\n") else text + "\n")
-    manifest = dict(manifest, outputs=[out])
+    manifest = dict(manifest, outputs=[out, *side_outputs])
     with open(out + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
@@ -195,7 +187,7 @@ def _isometry_doc(v: CloneIsometry) -> dict:
 
 
 def _result_doc(res: OptimizationResult) -> dict:
-    doc = {
+    return {
         "objective": res.objective,
         "spread": res.spread,
         "restarts_hitting_best": res.restarts_hitting_best,
@@ -205,9 +197,6 @@ def _result_doc(res: OptimizationResult) -> dict:
         ],
         "best": _isometry_doc(res.best),
     }
-    if res.machine is not None:
-        doc["machine"] = json.loads(machine_to_json(res.machine))
-    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +332,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
     # NaN fails the comparison too
     if not 0.0 <= args.budget < math.inf:
         raise UsageError(f"--budget {args.budget} must be finite and >= 0")
-    cfg = OptimizationConfig(
-        mode="equal_fidelity_penalty", symmetric=True, seed=args.seed
-    )
     cells_done: list[tuple[int, int, float]] = []
     phis = [k * 360.0 / args.resolution for k in range(args.resolution)]
 
@@ -355,7 +341,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
             raise _BudgetExceeded
 
     try:
-        grid = scan_equator(args.resolution, cfg, progress=progress)
+        # the seed goes positionally, as perfbench's CellClock forwards it
+        grid = scan_equator(args.resolution, args.seed, progress=progress)
     except _BudgetExceeded:
         manifest = _manifest(args, {"resolution": args.resolution}, t0)
         manifest["note"] = f"budget of {args.budget}s exceeded; CSV is partial"
@@ -393,13 +380,15 @@ def cmd_scan(args: argparse.Namespace) -> int:
         "located": located,
     }
     manifest = _manifest(args, {"resolution": args.resolution}, t0)
-    _write_outputs(args.out, grid.to_csv(), manifest)
-    summary_text = _dumps(summary)
-    if args.out is not None:
-        with open(args.out + ".summary.json", "w") as fh:
-            fh.write(summary_text + "\n")
+    summary_text = _dumps(summary) + "\n"
+    if args.out is None:
+        _write_outputs(None, grid.to_csv(), manifest)
+        sys.stdout.write(summary_text)
     else:
-        sys.stdout.write(summary_text + "\n")
+        summary_path = args.out + ".summary.json"
+        with open(summary_path, "w") as fh:
+            fh.write(summary_text)
+        _write_outputs(args.out, grid.to_csv(), manifest, (summary_path,))
     return EXIT_OK if located else EXIT_SELF_CHECK
 
 
@@ -420,13 +409,13 @@ def cmd_nclone(args: argparse.Namespace) -> int:
         "parity": "even" if args.n % 2 == 0 else "odd",
         "objective": res.objective,
         "bound": bound,
-        "machine": json.loads(machine_to_json(res.machine)),
+        "machine": json.loads(machine_to_json(res.best)),
     }
     # self-check: the closed form against the `copy_fidelity` oracle
     rng = np.random.default_rng(args.seed)
     delta = max(
         abs(
-            n_clone_fidelity(res.machine, phi)
+            n_clone_fidelity(res.best, phi)
             - copy_fidelity(res.best, BlochPoint(math.pi / 2.0, phi), 0)
         )
         for phi in rng.uniform(0.0, TWO_PI, 20)

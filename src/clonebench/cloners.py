@@ -1,5 +1,4 @@
-"""Cloning machines as isometries, the symmetric 1->n coefficient form, and
-the canonical machines.
+"""Cloning machines as isometries, and the canonical machines.
 
 Factor ordering is fixed everywhere: copy A, copy B, then ancilla (for the
 1->2 machines), or the n copies (for the symmetric 1->n machines).
@@ -22,29 +21,6 @@ SQRT2 = math.sqrt(2.0)
 
 class InvalidMachineError(ValueError):
     """The machine violates its normalization/orthogonality constraints."""
-
-
-@dataclass(frozen=True)
-class SymmetricNCloner:
-    """Economic 1->n machine acting inside the n-qubit symmetric subspace:
-    |0> -> sum_i a_i |i>>, |1> -> sum_i b_i |i>>."""
-
-    n: int
-    a: tuple[complex, ...]
-    b: tuple[complex, ...]
-
-    def __post_init__(self):
-        if not 1 <= self.n <= 10:
-            raise ValueError(f"n={self.n} outside 1..10")
-        a = tuple(complex(x) for x in self.a)
-        b = tuple(complex(x) for x in self.b)
-        if len(a) != self.n + 1 or len(b) != self.n + 1:
-            raise ValueError(f"need n+1={self.n + 1} coefficients per column")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def columns(self) -> np.ndarray:
-        return np.column_stack([np.asarray(self.a), np.asarray(self.b)])
 
 
 @dataclass(frozen=True)
@@ -102,14 +78,6 @@ def constraint_check(cols: np.ndarray) -> ConstraintReport:
     return ConstraintReport(norm0, norm1, overlap=float(abs(np.vdot(cols[:, 0], cols[:, 1]))))
 
 
-def to_isometry(c: SymmetricNCloner) -> CloneIsometry:
-    """Expand a symmetric 1->n machine into its full-space isometry."""
-    report = constraint_check(c.columns())
-    if not report.passed:
-        raise InvalidMachineError(f"constraint residuals too large: {report.as_dict()}")
-    return CloneIsometry(sym_basis(c.n) @ c.columns(), copies=c.n, ancilla_dim=1)
-
-
 # ---------------------------------------------------------------------------
 # canonical machines
 
@@ -155,17 +123,32 @@ def uqcm() -> CloneIsometry:
     return _qubit_ancilla_machine(a, b, b, a)
 
 
-def optimal_n_cloner(n: int) -> SymmetricNCloner:
-    """Optimal economic 1->n phase cloner: a unit coefficient at the
-    parity-dependent middle index, zeros elsewhere."""
-    if not 1 <= n <= 10:
-        raise ValueError(f"n={n} outside 1..10")
-    ia = n // 2 if n % 2 == 0 else (n - 1) // 2
-    a = [0.0] * (n + 1)
-    b = [0.0] * (n + 1)
-    a[ia] = 1.0
-    b[ia + 1] = 1.0
-    return SymmetricNCloner(n=n, a=tuple(a), b=tuple(b))
+def optimal_n_cloner(n: int) -> CloneIsometry:
+    """Optimal economic 1->n phase cloner: |0> and |1> go to the Dicke states
+    with n // 2 and n // 2 + 1 ones."""
+    i = n // 2
+    return CloneIsometry(sym_basis(n)[:, i : i + 2], copies=n)
+
+
+def symmetric_coefficients(v: CloneIsometry) -> np.ndarray:
+    """The (n+1) x 2 coefficients c of a machine inside the symmetric
+    subspace, V = S c with S = sym_basis(n): |0> -> sum_i a_i |i>>,
+    |1> -> sum_i b_i |i>>, with a and b the columns of c.
+
+    Each coefficient is one row of V per Dicke index divided by that row's
+    basis amplitude, so a machine built as S c gives back c to rounding, and
+    the canonical machines give exact 0s and 1s (a projection S^dag V would
+    not)."""
+    if v.ancilla_dim != 1:
+        raise InvalidMachineError(f"ancilla of dimension {v.ancilla_dim}; not a symmetric machine")
+    s = sym_basis(v.copies)
+    # Dicke index i is read from the row of |0...01...1>, with i ones
+    rows = [(1 << i) - 1 for i in range(v.copies + 1)]
+    c = v.matrix[rows] / s[rows, range(v.copies + 1)][:, None]
+    off = float(np.abs(s @ c - v.matrix).max())
+    if off > CONSTRAINT_TOL:
+        raise InvalidMachineError(f"machine leaves the symmetric subspace by {off:.1e}")
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +160,12 @@ def _c2pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def machine_to_json(c: SymmetricNCloner) -> str:
+def machine_to_json(v: CloneIsometry) -> str:
+    a, b = symmetric_coefficients(v).T
     doc = {
         "kind": "symmetric_n",
-        "n": c.n,
-        "a": [_c2pair(z) for z in c.a],
-        "b": [_c2pair(z) for z in c.b],
+        "n": v.copies,
+        "a": [_c2pair(z) for z in a],
+        "b": [_c2pair(z) for z in b],
     }
     return json.dumps(doc)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloners import CloneIsometry, InvalidMachineError, SymmetricNCloner, constraint_check
+from .cloners import CloneIsometry, InvalidMachineError, constraint_check, symmetric_coefficients
 from .qlinalg import partial_trace
 from .states import TWO_PI, BlochPoint, bloch_to_state
 
@@ -89,12 +89,12 @@ def decompose_equatorial(v: CloneIsometry, copy: int = 0) -> FidelityDecompositi
 # 1 -> n
 
 
-def n_clone_fidelity(c: SymmetricNCloner, phi: float) -> float:
+def n_clone_fidelity(v: CloneIsometry, phi: float) -> float:
     """Closed-form single-copy fidelity of a symmetric 1->n machine on the
-    equatorial input at phase phi (no tensor expansion)."""
-    n = c.n
-    a = np.asarray(c.a)
-    b = np.asarray(c.b)
+    equatorial input at phase phi, from its coefficients (no tensor
+    expansion)."""
+    n = v.copies
+    a, b = symmetric_coefficients(v).T
     eip = cmath.exp(1j * phi)
     acc = 0.0 + 0.0j
     for i in range(n):

@@ -45,7 +45,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .cloners import CloneIsometry, SymmetricNCloner
+from .cloners import CloneIsometry
 from .qlinalg import DegenerateColumnsError, sym_basis
 from .states import TWO_PI, BlochPoint, InputSet, equatorial_trio
 
@@ -172,15 +172,13 @@ class OptimizationResult:
     spread: float
     restarts_hitting_best: int
     seed: int
-    machine: SymmetricNCloner | None = None  # populated by optimize_n
     raw_params: tuple[float, ...] | None = None  # raw search coordinates of `best`
 
 
 @dataclass
 class ScanGrid:
     resolution: int
-    phi2_values: np.ndarray  # radians
-    phi3_values: np.ndarray
+    phi_values: np.ndarray  # radians, the phases of both axes
     fidelity: np.ndarray  # (resolution, resolution), row index = phi2
     degenerate_mask: np.ndarray
 
@@ -194,8 +192,8 @@ class ScanGrid:
     def to_csv(self) -> str:
         return scan_csv(
             (math.degrees(p2), math.degrees(p3), self.fidelity[i, j], self.degenerate_mask[i, j])
-            for i, p2 in enumerate(self.phi2_values)
-            for j, p3 in enumerate(self.phi3_values)
+            for i, p2 in enumerate(self.phi_values)
+            for j, p3 in enumerate(self.phi_values)
         )
 
 
@@ -507,6 +505,12 @@ def trio_is_degenerate(phi2: float, phi3: float) -> bool:
     return False
 
 
+# the per-orbit search of the scan: the equal-fidelity/symmetric conditions with
+# a cheap restart schedule (warm starts from the orbits solved just before
+# cover the rest)
+SCAN_CONFIG = OptimizationConfig(restarts=6, tol=1e-3, mode="equal_fidelity_penalty", symmetric=True)
+
+
 def _orbit_key(i: int, j: int, resolution: int) -> tuple[int, ...]:
     """Sorted arc gaps of the phase indices {0, i, j} on the resolution-point
     circle. Cells share a key exactly when they are images of each other under
@@ -516,30 +520,19 @@ def _orbit_key(i: int, j: int, resolution: int) -> tuple[int, ...]:
     return tuple(sorted((a, b - a, resolution - b)))
 
 
-def scan_config(cfg: OptimizationConfig | None = None) -> OptimizationConfig:
-    """Per-orbit search configuration: the equal-fidelity/symmetric conditions
-    with a cheaper restart schedule (warm starts from the orbits solved just
-    before cover the rest)."""
-    if cfg is None:
-        cfg = OptimizationConfig(mode="equal_fidelity_penalty", symmetric=True)
-    return replace(cfg, restarts=min(cfg.restarts, 6), tol=1e-3)
-
-
-def scan_equator(
-    resolution: int,
-    cfg: OptimizationConfig | None = None,
-    progress=None,
-) -> ScanGrid:
+def scan_equator(resolution: int, seed: int = 0, progress=None) -> ScanGrid:
     """Grid of best objectives for trios {0, phi2, phi3} over a square grid
     of phases in [0, 360) degrees.
 
     One search runs per orbit of the trio-phase symmetry group, at its first
     cell in row-major order; every other cell of the orbit copies that value,
-    so the grid is exactly symmetric. `progress(i, j, value)` still fires once
-    per cell in row-major order."""
+    so the grid is exactly symmetric. Each search is SCAN_CONFIG with this
+    seed, on its own pseudo-random stream keyed on (seed, index) of the
+    orbit's first cell. `progress(i, j, value)` still fires once per cell in
+    row-major order."""
     if resolution < 8:
         raise ValueError("resolution must be >= 8")
-    cfg = scan_config(cfg)
+    cfg = replace(SCAN_CONFIG, seed=seed)
     phis = np.linspace(0.0, TWO_PI, resolution, endpoint=False)
     grid = np.zeros((resolution, resolution))
     mask = np.zeros((resolution, resolution), dtype=bool)
@@ -549,12 +542,10 @@ def scan_equator(
         for j, p3 in enumerate(phis):
             key = _orbit_key(i, j, resolution)
             if key not in solved:
-                # the orbit's pseudo-random stream is keyed on (seed, index)
-                # of its first cell
                 res = optimize(
                     _trio_set(p2, p3),
                     cfg,
-                    _stream=(cfg.seed, i * resolution + j),
+                    _stream=(seed, i * resolution + j),
                     _extra_starts=warm,
                 )
                 solved[key] = (res.objective, trio_is_degenerate(p2, p3))
@@ -562,13 +553,7 @@ def scan_equator(
             grid[i, j], mask[i, j] = solved[key]
             if progress is not None:
                 progress(i, j, grid[i, j])
-    return ScanGrid(
-        resolution=resolution,
-        phi2_values=phis,
-        phi3_values=phis.copy(),
-        fidelity=grid,
-        degenerate_mask=mask,
-    )
+    return ScanGrid(resolution=resolution, phi_values=phis, fidelity=grid, degenerate_mask=mask)
 
 
 # ---------------------------------------------------------------------------
@@ -577,11 +562,9 @@ def scan_equator(
 
 def optimize_n(cfg: OptimizationConfig) -> OptimizationResult:
     """Best economic symmetric 1->n machine for the 120-degree trio: the
-    `optimize` search with n copies inside the symmetric subspace, whose two
-    columns are the machine's coefficient vectors (a_i), (b_i)."""
+    `optimize` search with n = cfg.copies copies inside the symmetric
+    subspace."""
     n = cfg.copies
     if not 2 <= n <= 8:
         raise ValueError(f"copies={n} outside 2..8")
-    res = optimize(equatorial_trio(), replace(cfg, symmetric=True, ancilla_dim=1))
-    q = _columns_from_params(np.asarray(res.raw_params), n + 1)
-    return replace(res, machine=SymmetricNCloner(n=n, a=tuple(q[:, 0]), b=tuple(q[:, 1])))
+    return optimize(equatorial_trio(), replace(cfg, symmetric=True, ancilla_dim=1))

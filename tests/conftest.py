@@ -8,6 +8,7 @@ import math
 import numpy as np
 
 from clonebench.cloners import CloneIsometry
+from clonebench.qlinalg import sym_basis
 
 
 def random_columns(rng, dim):
@@ -24,6 +25,11 @@ def random_economic(rng):
 def random_ancilla(rng, ancilla_dim=2):
     """Random 1->2 isometry with an ancilla of dimension `ancilla_dim`."""
     return CloneIsometry(random_columns(rng, 4 * ancilla_dim), ancilla_dim=ancilla_dim)
+
+
+def random_symmetric(rng, n):
+    """Random economic 1->n isometry inside the n-qubit symmetric subspace."""
+    return CloneIsometry(sym_basis(n) @ random_columns(rng, n + 1), copies=n)
 
 
 def input_set_json(s):

@@ -18,7 +18,6 @@ from clonebench.cloners import (
     ancilla_pqcm,
     economic_pqcm,
     optimal_n_cloner,
-    to_isometry,
     uqcm,
 )
 from clonebench.fidelity import (
@@ -225,7 +224,7 @@ def test_criterion_8_one_to_n_suite():
         worst_bound = max(worst_bound, abs(res.objective - bound))
         for phi in rng.uniform(0.0, TWO_PI, 20):
             delta = abs(
-                n_clone_fidelity(res.machine, phi)
+                n_clone_fidelity(res.best, phi)
                 - copy_fidelity(res.best, BlochPoint(math.pi / 2.0, phi), 0)
             )
             worst_oracle = max(worst_oracle, delta)
@@ -248,7 +247,7 @@ def test_criterion_9_decomposition_identity():
         random_economic(rng) if k % 3 == 0 else random_ancilla(rng, 2 if k % 3 == 1 else 4)
         for k in range(100)
     ]
-    machines += [to_isometry(optimal_n_cloner(n)) for n in range(3, 7)]
+    machines += [optimal_n_cloner(n) for n in range(3, 7)]
     worst = 0.0
     for v in machines:
         for copy in range(2):
@@ -261,7 +260,7 @@ def test_criterion_9_decomposition_identity():
             )
             worst = max(worst, float(np.abs(d.evaluate(phis) - direct).max()))
     optimal = [economic_pqcm(), ancilla_pqcm(0.6), ancilla_pqcm(1.0 / math.sqrt(2.0)), uqcm()]
-    optimal += [to_isometry(optimal_n_cloner(n)) for n in range(3, 7)]
+    optimal += [optimal_n_cloner(n) for n in range(3, 7)]
     worst_lam = max(
         max(d.lambda1, d.lambda2)
         for v in optimal

@@ -158,6 +158,8 @@ def test_scan_resolution_8(tmp_path, capsys):
     assert len(lines) == 8 * 8 + 1
     summary = read_json(str(out) + ".summary.json")
     jsonschema.validate(summary, load_schema("scan_summary.schema.json"))
+    manifest = read_json(str(out) + ".manifest.json")
+    assert manifest["outputs"] == [str(out), str(out) + ".summary.json"]
     assert summary["grid_limited"]
     assert summary["located"]
 
@@ -184,6 +186,7 @@ def test_nclone_n2(tmp_path, capsys):
     assert code == 0
     doc = read_json(out)
     jsonschema.validate(doc, load_schema("nclone_report.schema.json"))
+    jsonschema.validate(doc["machine"], load_schema("machine.schema.json"))
     assert doc["parity"] == "even"
     assert abs(doc["objective"] - F_PHASE) < 1e-4
     assert doc["oracle_delta"] < 1e-10

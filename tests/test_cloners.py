@@ -7,21 +7,22 @@ from importlib import resources
 import jsonschema
 import numpy as np
 import pytest
+from conftest import random_economic, random_symmetric
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clonebench.cloners import (
     CloneIsometry,
     InvalidMachineError,
-    SymmetricNCloner,
     ancilla_pqcm,
     constraint_check,
     economic_pqcm,
     machine_to_json,
     optimal_n_cloner,
-    to_isometry,
+    symmetric_coefficients,
     uqcm,
 )
+from clonebench.qlinalg import sym_basis
 
 
 def machine_schema():
@@ -51,32 +52,28 @@ def test_uqcm_satisfies_constraints():
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_optimal_n_cloner_satisfies_constraints(n):
-    assert constraint_check(optimal_n_cloner(n).columns()).passed
-    assert constraint_check(to_isometry(optimal_n_cloner(n)).matrix).passed
+    assert constraint_check(optimal_n_cloner(n).matrix).passed
 
 
 def test_constraint_check_flags_bad_machine():
-    bad = SymmetricNCloner(n=1, a=(1.0, 0.0), b=(1.0, 0.0))  # columns are parallel
-    report = constraint_check(bad.columns())
-    assert not report.passed
-    with pytest.raises(InvalidMachineError):
-        to_isometry(bad)
+    bad = np.array([[1.0, 1.0], [0.0, 0.0]])  # columns are parallel
+    assert not constraint_check(bad).passed
 
 
-def test_to_isometry_shapes_and_dims():
+def test_clone_isometry_shapes_and_dims():
     v = economic_pqcm()
     assert v.matrix.shape == (4, 2)
     assert v.output_dims == [2, 2]
     for v in (ancilla_pqcm(0.3), uqcm()):
         assert v.matrix.shape == (8, 2)
         assert v.output_dims == [2, 2, 2]
-    v = to_isometry(optimal_n_cloner(3))
+    v = optimal_n_cloner(3)
     assert v.matrix.shape == (8, 2)
     assert v.output_dims == [2, 2, 2]
 
 
 def test_isometry_columns_are_orthonormal():
-    for v in (economic_pqcm(), ancilla_pqcm(0.4), uqcm(), to_isometry(optimal_n_cloner(4))):
+    for v in (economic_pqcm(), ancilla_pqcm(0.4), uqcm(), optimal_n_cloner(4)):
         m = v.matrix
         np.testing.assert_allclose(m.conj().T @ m, np.eye(2), atol=1e-12)
 
@@ -86,26 +83,38 @@ def test_clone_isometry_validates_shape():
         CloneIsometry(np.zeros((3, 2)), copies=2, ancilla_dim=1)
 
 
-def test_symmetric_cloner_validates_lengths():
-    with pytest.raises(ValueError):
-        SymmetricNCloner(n=2, a=(1.0, 0.0), b=(0.0, 1.0))
-    with pytest.raises(ValueError):
-        SymmetricNCloner(n=0, a=(1.0,), b=(1.0,))
+@pytest.mark.parametrize("n", range(1, 11))
+def test_optimal_n_cloner_coefficients_are_exact(n):
+    c = symmetric_coefficients(optimal_n_cloner(n))
+    expected = np.zeros((n + 1, 2))
+    expected[n // 2, 0] = expected[n // 2 + 1, 1] = 1.0
+    assert np.array_equal(c, expected)
+
+
+@pytest.mark.parametrize(
+    "v",
+    [uqcm(), random_economic(np.random.default_rng(6))],
+    ids=["uqcm", "random_economic"],
+)
+def test_symmetric_coefficients_reject_non_symmetric_machines(v):
+    # an ancilla machine, and a two-copy isometry outside the symmetric subspace
+    with pytest.raises(InvalidMachineError):
+        symmetric_coefficients(v)
+    with pytest.raises(InvalidMachineError):
+        machine_to_json(v)
 
 
 def test_json_round_trip_is_bit_faithful():
-    machines = [
-        optimal_n_cloner(5),
-        SymmetricNCloner(n=2, a=(0.25 + 0.5j, 0.0, 0.1), b=(0.0, 0.125 - 0.75j, 1.0 / 3.0)),
-    ]
-    for m in machines:
-        doc = json.loads(machine_to_json(m))
-        back = SymmetricNCloner(
-            n=doc["n"],
-            a=tuple(complex(*p) for p in doc["a"]),
-            b=tuple(complex(*p) for p in doc["b"]),
-        )
-        assert back == m
+    def rebuilt(v):
+        doc = json.loads(machine_to_json(v))
+        c = np.array([[complex(*a), complex(*b)] for a, b in zip(doc["a"], doc["b"])])
+        return sym_basis(doc["n"]) @ c
+
+    m = optimal_n_cloner(5)
+    assert np.array_equal(rebuilt(m), m.matrix)
+    # a general machine comes back to rounding
+    v = random_symmetric(np.random.default_rng(5), 4)
+    np.testing.assert_allclose(rebuilt(v), v.matrix, rtol=0.0, atol=1e-15)
 
 
 def test_json_validates_against_schema():

@@ -6,17 +6,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import random_ancilla, random_columns, random_economic, reduced_by_einsum
+from conftest import (
+    random_ancilla,
+    random_columns,
+    random_economic,
+    random_symmetric,
+    reduced_by_einsum,
+)
 
 from clonebench.cli import resolve_machine
 from clonebench.cloners import (
     CloneIsometry,
     InvalidMachineError,
-    SymmetricNCloner,
     ancilla_pqcm,
     economic_pqcm,
     optimal_n_cloner,
-    to_isometry,
     uqcm,
 )
 from clonebench.fidelity import (
@@ -90,7 +94,7 @@ def test_copy_fidelity_matches_explicit_density_matrix_on_random_isometries(copi
 
 def test_copy_fidelity_never_forms_the_output_density_matrix():
     # at n = 10 the output density matrix alone is 1024 x 1024 complex, 16.8 MB
-    v = to_isometry(optimal_n_cloner(10))
+    v = optimal_n_cloner(10)
     p = equatorial(0.7)
     copy_fidelity(v, p, 1)
     tracemalloc.start()
@@ -100,11 +104,6 @@ def test_copy_fidelity_never_forms_the_output_density_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
-
-
-def random_symmetric(rng, n):
-    q = random_columns(rng, n + 1)
-    return to_isometry(SymmetricNCloner(n=n, a=tuple(q[:, 0]), b=tuple(q[:, 1])))
 
 
 @pytest.mark.parametrize(
@@ -118,7 +117,7 @@ def random_symmetric(rng, n):
             for n in (3, 6)
         ),
         *(
-            pytest.param(lambda rng, n=n: to_isometry(optimal_n_cloner(n)), id=f"nclone_{n}")
+            pytest.param(lambda rng, n=n: optimal_n_cloner(n), id=f"nclone_{n}")
             for n in range(3, 7)
         ),
     ],
@@ -144,7 +143,7 @@ def test_decompose_rejects_invalid_machine():
 
 def test_optimal_machines_have_flat_decomposition():
     machines = [economic_pqcm(), ancilla_pqcm(0.6), uqcm()]
-    machines += [to_isometry(optimal_n_cloner(n)) for n in (3, 4)]
+    machines += [optimal_n_cloner(n) for n in (3, 4)]
     for v in machines:
         for copy in range(v.copies):
             d = decompose_equatorial(v, copy=copy)
@@ -158,11 +157,9 @@ def test_optimal_machines_have_flat_decomposition():
 def test_n_clone_closed_form_matches_bruteforce(n):
     # the oracle expands the output ket in the full 2^n space
     rng = np.random.default_rng(100 + n)
-    q = random_columns(rng, n + 1)
-    machine = SymmetricNCloner(n=n, a=tuple(q[:, 0]), b=tuple(q[:, 1]))
-    v = to_isometry(machine)
+    v = random_symmetric(rng, n)
     for phi in rng.uniform(0.0, TWO_PI, 8):
-        closed = n_clone_fidelity(machine, phi)
+        closed = n_clone_fidelity(v, phi)
         for copy in range(n):
             assert abs(closed - copy_fidelity(v, equatorial(phi), copy)) < 1e-12
 
@@ -197,3 +194,14 @@ def test_optimal_n_cloner_is_flat_at_the_bound(n):
     bound = closed_form_bound("phase_1ton", n)
     for phi in np.linspace(0.0, TWO_PI, 9, endpoint=False):
         assert abs(n_clone_fidelity(machine, phi) - bound) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "v",
+    [uqcm(), random_economic(np.random.default_rng(6))],
+    ids=["uqcm", "random_economic"],
+)
+def test_n_clone_fidelity_rejects_non_symmetric_machines(v):
+    # the closed form holds only inside the symmetric subspace, ancilla-free
+    with pytest.raises(InvalidMachineError):
+        n_clone_fidelity(v, 0.3)

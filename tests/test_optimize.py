@@ -10,19 +10,20 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import random_symmetric
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import clonebench.optimize as optimize_module
-from clonebench.cloners import CloneIsometry, SymmetricNCloner, to_isometry
+from clonebench.cloners import CloneIsometry, symmetric_coefficients
 from clonebench.fidelity import copy_fidelity, n_clone_fidelity
 from clonebench.optimize import (
+    SCAN_CONFIG,
     OptimizationConfig,
     effective_dim,
     optimize,
     optimize_n,
-    scan_config,
     scan_equator,
     trio_is_degenerate,
 )
@@ -234,12 +235,11 @@ def test_n_clone_forms_match_the_closed_form(n):
     psis = np.column_stack([bloch_to_state(BlochPoint(math.pi / 2.0, phi)) for phi in phases])
     forms = optimize_module._copy_forms(psis, optimize_module._sym_embedding(n, 1), n, 1)
     for _ in range(5):
-        q = optimize_module._columns_from_params(rng.standard_normal(4 * (n + 1)), n + 1)
-        machine = SymmetricNCloner(n=n, a=tuple(q[:, 0]), b=tuple(q[:, 1]))
-        closed = [n_clone_fidelity(machine, phi) for phi in phases]
+        v = random_symmetric(rng, n)
+        closed = [n_clone_fidelity(v, phi) for phi in phases]
         # every copy of a symmetric machine has the closed-form fidelity
         np.testing.assert_allclose(
-            optimize_module._fidelities(forms, q).reshape(n, -1),
+            optimize_module._fidelities(forms, symmetric_coefficients(v)).reshape(n, -1),
             np.tile(closed, (n, 1)),
             rtol=0.0,
             atol=1e-12,
@@ -393,11 +393,10 @@ def test_search_gradient_matches_central_differences_in_the_symmetric_subspace(
 
 
 def test_scan_exploration_restarts_converge(recorded_minimize):
-    cfg = scan_config()
-    optimize(equatorial_trio(), cfg)
+    optimize(equatorial_trio(), SCAN_CONFIG)
     # one local search per start, then one polish of the winner
-    assert len(recorded_minimize) == cfg.restarts + 1
-    assert all(res.success for _, res in recorded_minimize[: cfg.restarts])
+    assert len(recorded_minimize) == SCAN_CONFIG.restarts + 1
+    assert all(res.success for _, res in recorded_minimize[: SCAN_CONFIG.restarts])
 
 
 @pytest.mark.slow
@@ -453,10 +452,12 @@ def test_optimize_n_small_budget():
     cfg = OptimizationConfig(restarts=20, copies=3)
     res = optimize_n(cfg)
     assert res.objective == pytest.approx(5.0 / 6.0, abs=1e-4)
-    assert res.machine is not None and res.machine.n == 3
-    # one fidelity per (state, copy), and the machine is the isometry found
+    assert res.best.copies == 3 and res.best.ancilla_dim == 1
+    # one fidelity per (state, copy), and the machine's coefficients are the
+    # columns the search found, to the two roundings of reading them back
     assert len(res.per_state_fidelities) == 3 * 3
-    np.testing.assert_array_equal(to_isometry(res.machine).matrix, res.best.matrix)
+    q = optimize_module._columns_from_params(np.asarray(res.raw_params), 4)
+    np.testing.assert_allclose(symmetric_coefficients(res.best), q, rtol=0.0, atol=2.3e-16)
 
 
 def test_optimize_n_range():
@@ -471,10 +472,9 @@ def test_trio_degeneracy_detection():
 
 
 def test_scan_config_caps_the_budget():
-    cfg = scan_config()
-    assert cfg.restarts <= 6
-    assert cfg.mode == "equal_fidelity_penalty"
-    assert cfg.symmetric
+    assert SCAN_CONFIG.restarts <= 6
+    assert SCAN_CONFIG.mode == "equal_fidelity_penalty"
+    assert SCAN_CONFIG.symmetric
 
 
 def test_scan_rejects_low_resolution():
