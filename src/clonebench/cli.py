@@ -381,14 +381,13 @@ def cmd_scan(args: argparse.Namespace) -> int:
     }
     manifest = _manifest(args, {"resolution": args.resolution}, t0)
     summary_text = _dumps(summary) + "\n"
+    side = () if args.out is None else (args.out + ".summary.json",)
+    _write_outputs(args.out, grid.to_csv(), manifest, side)
     if args.out is None:
-        _write_outputs(None, grid.to_csv(), manifest)
         sys.stdout.write(summary_text)
     else:
-        summary_path = args.out + ".summary.json"
-        with open(summary_path, "w") as fh:
+        with open(side[0], "w") as fh:
             fh.write(summary_text)
-        _write_outputs(args.out, grid.to_csv(), manifest, (summary_path,))
     return EXIT_OK if located else EXIT_SELF_CHECK
 
 

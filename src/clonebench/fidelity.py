@@ -91,8 +91,8 @@ def decompose_equatorial(v: CloneIsometry, copy: int = 0) -> FidelityDecompositi
 
 def n_clone_fidelity(v: CloneIsometry, phi: float) -> float:
     """Closed-form single-copy fidelity of a symmetric 1->n machine on the
-    equatorial input at phase phi, from its coefficients (no tensor
-    expansion)."""
+    equatorial input at phase phi, from its (a_i, b_i) coefficients. Reading
+    them builds sym_basis(n) and checks V = S c over all 2^n rows."""
     n = v.copies
     a, b = symmetric_coefficients(v).T
     eip = cmath.exp(1j * phi)

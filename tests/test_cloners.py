@@ -105,16 +105,19 @@ def test_symmetric_coefficients_reject_non_symmetric_machines(v):
 
 
 def test_json_round_trip_is_bit_faithful():
-    def rebuilt(v):
+    def decoded(v):
         doc = json.loads(machine_to_json(v))
-        c = np.array([[complex(*a), complex(*b)] for a, b in zip(doc["a"], doc["b"])])
-        return sym_basis(doc["n"]) @ c
+        return np.array([[complex(*a), complex(*b)] for a, b in zip(doc["a"], doc["b"])])
 
     m = optimal_n_cloner(5)
-    assert np.array_equal(rebuilt(m), m.matrix)
-    # a general machine comes back to rounding
+    assert np.array_equal(sym_basis(5) @ decoded(m), m.matrix)
+    # a general machine's complex coefficients come back bit for bit, and
+    # its columns to rounding
     v = random_symmetric(np.random.default_rng(5), 4)
-    np.testing.assert_allclose(rebuilt(v), v.matrix, rtol=0.0, atol=1e-15)
+    c = decoded(v)
+    assert np.array_equal(c, symmetric_coefficients(v))
+    assert np.all(c.imag != 0.0) and np.all(np.abs(c) < 1.0)
+    np.testing.assert_allclose(sym_basis(4) @ c, v.matrix, rtol=0.0, atol=1e-15)
 
 
 def test_json_validates_against_schema():
