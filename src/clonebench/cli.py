@@ -3,8 +3,8 @@ scan the trio-phase plane, and study 1->n machines.
 
 Every run is deterministic given --seed (or the CLONEBENCH_SEED environment
 variable) and, when --out is given, writes a manifest alongside its outputs.
-Exit codes: 0 ok, 2 usage error, 3 self-check failure, 4 runtime budget
-exceeded.
+Exit codes: 0 ok, 2 usage error (an --out that cannot be written included),
+3 self-check failure, 4 runtime budget exceeded.
 """
 
 from __future__ import annotations
@@ -151,20 +151,25 @@ def resolve_machine(name: str) -> CloneIsometry:
 
 
 def _write_outputs(
-    out: str | None, text: str, manifest: dict, side_outputs: tuple[str, ...] = ()
+    out: str | None, text: str, manifest: dict, side_outputs: dict[str, str] | None = None
 ) -> None:
-    """Print the primary artifact; if --out was given, also write it and the
-    run manifest next to it. The manifest lists the artifact, then the
-    side_outputs, files the command writes itself."""
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    """Print the primary artifact; if --out was given, also write it, the run
+    manifest next to it, and then the side_outputs, given as {path: text}. The
+    manifest lists the artifact, then the side outputs. A file that cannot be
+    written is a usage error."""
+    text = text if text.endswith("\n") else text + "\n"
+    sys.stdout.write(text)
     if out is None:
         return
-    with open(out, "w") as fh:
-        fh.write(text if text.endswith("\n") else text + "\n")
+    side_outputs = side_outputs or {}
     manifest = dict(manifest, outputs=[out, *side_outputs])
-    with open(out + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    files = {out: text, out + ".manifest.json": _dumps(manifest) + "\n", **side_outputs}
+    for path, body in files.items():
+        try:
+            with open(path, "w") as fh:
+                fh.write(body)
+        except OSError as exc:
+            raise UsageError(f"cannot write {path!r}: {exc}")
 
 
 def _manifest(args: argparse.Namespace, config: dict, t0: float) -> dict:
@@ -234,10 +239,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.machine == "uqcm":
         expected = closed_form_bound("universal_1to2")
     elif _is_equatorial(input_set):
-        if args.machine.startswith("nclone:"):
-            expected = closed_form_bound("phase_1ton", v.copies)
-        else:
-            expected = closed_form_bound("phase_1to2")
+        expected = closed_form_bound("phase_1ton", v.copies)
     ok = report.passed
     if expected is None:
         doc["bound_comparison"] = "not applicable"
@@ -381,13 +383,11 @@ def cmd_scan(args: argparse.Namespace) -> int:
     }
     manifest = _manifest(args, {"resolution": args.resolution}, t0)
     summary_text = _dumps(summary) + "\n"
-    side = () if args.out is None else (args.out + ".summary.json",)
-    _write_outputs(args.out, grid.to_csv(), manifest, side)
     if args.out is None:
-        sys.stdout.write(summary_text)
+        # without --out the summary follows the CSV on stdout
+        _write_outputs(None, grid.to_csv() + summary_text, manifest)
     else:
-        with open(side[0], "w") as fh:
-            fh.write(summary_text)
+        _write_outputs(args.out, grid.to_csv(), manifest, {args.out + ".summary.json": summary_text})
     return EXIT_OK if located else EXIT_SELF_CHECK
 
 

@@ -27,8 +27,6 @@ from .states import TWO_PI, BlochPoint, bloch_to_state
 
 PSI_UNDEFINED_BELOW = 1e-12  # lambda under this: the phase angle is meaningless
 
-SQRT2 = math.sqrt(2.0)
-
 
 def copy_fidelity(v: CloneIsometry, p: BlochPoint, copy: int = 0) -> float:
     """Overlap <psi| rho_copy |psi> between the input and one copy's reduced
@@ -109,10 +107,8 @@ def n_clone_fidelity(v: CloneIsometry, phi: float) -> float:
 
 
 def closed_form_bound(kind: str, n: int | None = None) -> float:
-    """Optimal-fidelity constants: phase-covariant 1->2, universal 1->2, and
-    the parity-dependent phase-covariant 1->n bound."""
-    if kind == "phase_1to2":
-        return 0.5 + SQRT2 / 4.0
+    """Optimal-fidelity constants: universal 1->2 and the parity-dependent
+    phase-covariant 1->n bound."""
     if kind == "universal_1to2":
         return 5.0 / 6.0
     if kind == "phase_1ton":

@@ -222,11 +222,6 @@ def _sym_embedding(copies: int, ancilla_dim: int) -> np.ndarray:
     return np.kron(s, np.eye(ancilla_dim))
 
 
-def effective_dim(copies: int, symmetric: bool, ancilla_dim: int) -> int:
-    base = copies + 1 if symmetric else 2**copies
-    return base * ancilla_dim
-
-
 def _rows4(*entries: float) -> np.ndarray:
     """The 4-row matrix with these entries in row-major order."""
     return np.array(entries).reshape(4, -1)
@@ -279,12 +274,12 @@ def _gram_schmidt(x: np.ndarray, d: int):
     return xm, ym, n0, n1, a + a2, b + b2
 
 
-def _columns_from_params(params: np.ndarray, d_eff: int) -> np.ndarray:
-    """Two orthonormal complex columns (d_eff x 2) from 4*d_eff raw reals."""
+def _columns_from_params(params: np.ndarray, d: int) -> np.ndarray:
+    """Two orthonormal complex columns (d x 2) from 4*d raw reals."""
     x = np.asarray(params, dtype=float)
-    if x.size != 4 * d_eff:
-        raise ValueError(f"expected {4 * d_eff} parameters, got {x.size}")
-    y = _gram_schmidt(x, d_eff)[1]
+    if x.size != 4 * d:
+        raise ValueError(f"expected {4 * d} parameters, got {x.size}")
+    y = _gram_schmidt(x, d)[1]
     return (y[:2] + 1j * y[2:]).T
 
 
@@ -388,56 +383,52 @@ def _search_objective(
 # search
 
 
-def _run_restarts(
-    forms: np.ndarray,
-    d_eff: int,
+def optimize(
+    input_set: InputSet,
     cfg: OptimizationConfig,
-    stream: tuple[int, ...] | None = None,
-    extra_starts: Sequence[np.ndarray] = (),
-):
-    """Shared multistart driver over the fidelity forms; returns (best_x, hits).
+    _stream: tuple[int, ...] | None = None,
+    _extra_starts: Sequence[np.ndarray] = (),
+) -> OptimizationResult:
+    """Best 1->cfg.copies machine found for the set over random-restart BFGS.
 
-    Each start gets one descent on the smoothed objective, and the winner
-    by exact objective is polished: one more descent, or for max-min one per
-    stage of POLISH_SHARPNESS. Degenerate draws evaluate to +inf and are
-    dropped.
+    The starts are _extra_starts, then cfg.restarts normal draws, draw r from
+    the stream (*_stream, r) with _stream defaulting to (cfg.seed,). Each start
+    gets one descent on the smoothed objective; a degenerate draw evaluates to
+    +inf and is dropped. A start wins when its exact objective beats the best
+    so far by more than 1e-9, so of tied starts the first wins. The winner is
+    polished: one more descent, or for max-min one per stage of
+    POLISH_SHARPNESS.
     """
-    neg_smooth = functools.partial(_search_objective, forms=forms, d=d_eff, mode=cfg.mode)
+    copies = cfg.copies
+    psis = np.column_stack(input_set.states())
+    if cfg.symmetric:
+        embed = _sym_embedding(copies, cfg.ancilla_dim)
+    else:
+        embed = np.eye(2**copies * cfg.ancilla_dim)
+    d = embed.shape[1]
+    forms = _copy_forms(psis, embed, copies, cfg.ancilla_dim)
+    neg_smooth = functools.partial(_search_objective, forms=forms, d=d, mode=cfg.mode)
 
     def exact(x):
-        return _exact_objective(_fidelities(forms, _columns_from_params(x, d_eff)), cfg.mode)
+        return _exact_objective(_fidelities(forms, _columns_from_params(x, d)), cfg.mode)
 
-    def tiebreak_key(x):
-        # gauge-invariant: moduli of the columns rounded to 1e-9
-        return tuple(np.round(np.abs(_columns_from_params(x, d_eff)).ravel(), 9))
-
-    best_x = None
-    best_val = -np.inf
-    best_key = None
-    values = []
-    stream = stream if stream is not None else (cfg.seed,)
-    starts = [np.asarray(x0, dtype=float) for x0 in extra_starts]
+    stream = (cfg.seed,) if _stream is None else _stream
+    starts = [np.asarray(x0, dtype=float) for x0 in _extra_starts]
     for r in range(cfg.restarts):
-        rng = np.random.default_rng([*stream, r])
-        starts.append(rng.standard_normal(4 * d_eff))
+        starts.append(np.random.default_rng([*stream, r]).standard_normal(4 * d))
+    best_x = None
+    best_val = -math.inf
+    values = []
     for x0 in starts:
         # exploration restarts only need to identify the best basin; the
         # winner is polished to full precision afterwards
         res = minimize(neg_smooth, x0, ftol=cfg.tol)
-        try:
-            val = exact(res.x)
-        except DegenerateColumnsError:
+        if not math.isfinite(res.fun):
             continue
+        val = exact(res.x)
         values.append(val)
         if val > best_val + 1e-9:
-            best_x, best_val, best_key = res.x, val, None
-        elif best_x is not None and abs(val - best_val) <= 1e-9:
-            # deterministic tie-break: smallest modulus vector wins
-            if best_key is None:
-                best_key = tiebreak_key(best_x)
-            key = tiebreak_key(res.x)
-            if key < best_key:
-                best_x, best_val, best_key = res.x, val, key
+            best_x, best_val = res.x, val
     if best_x is None:
         raise RuntimeError("all restarts failed (degenerate parameter draws)")
     # restarts whose exploration value reached the winning basin
@@ -449,29 +440,10 @@ def _run_restarts(
     x = best_x
     for sharpness in POLISH_SHARPNESS if cfg.mode == "max_min" else (SMOOTH_SHARPNESS,):
         x = minimize(functools.partial(neg_smooth, sharpness=sharpness), x, ftol=1e-15, gtol=1e-12).x
-        try:
-            val = exact(x)
-        except DegenerateColumnsError:
-            break
+        val = exact(x)
         if val >= best_val:
             best_x, best_val = x, val
-    return best_x, hits
-
-
-def optimize(
-    input_set: InputSet,
-    cfg: OptimizationConfig,
-    _stream: tuple[int, ...] | None = None,
-    _extra_starts: Sequence[np.ndarray] = (),
-) -> OptimizationResult:
-    """Best 1->cfg.copies machine found for the set over random-restart BFGS."""
-    copies = cfg.copies
-    psis = np.column_stack(input_set.states())
-    d_eff = effective_dim(copies, cfg.symmetric, cfg.ancilla_dim)
-    embed = _sym_embedding(copies, cfg.ancilla_dim) if cfg.symmetric else np.eye(d_eff)
-    forms = _copy_forms(psis, embed, copies, cfg.ancilla_dim)
-    best_x, hits = _run_restarts(forms, d_eff, cfg, stream=_stream, extra_starts=_extra_starts)
-    q = _columns_from_params(best_x, d_eff)
+    q = _columns_from_params(best_x, d)
     fids = _fidelities(forms, q).reshape(copies, -1)
     per_state = tuple(
         (s, k, float(fids[k, s])) for s in range(len(input_set)) for k in range(copies)

@@ -266,6 +266,20 @@ def test_malformed_input_exits_2(argv, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--machine", "uqcm", "--set", "trio"], ["scan", "--resolution", "8"]],
+    ids=["verify", "scan"],
+)
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_out_exits_2(tmp_path, capsys, argv, target):
+    out = tmp_path / "missing" / "out" if target == "missing-directory" else tmp_path
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_negative_environment_seed_exits_2(monkeypatch, capsys):
     monkeypatch.setenv("CLONEBENCH_SEED", "-3")
     assert main(["optimize", "--set", "trio", "--restarts", "1"]) == 2

@@ -179,9 +179,8 @@ def test_closed_form_bound_values(n, value):
 
 
 def test_closed_form_bound_names():
-    assert closed_form_bound("phase_1to2") == pytest.approx(F_PHASE, abs=1e-15)
+    assert closed_form_bound("phase_1ton", 2) == pytest.approx(F_PHASE, abs=1e-15)
     assert closed_form_bound("universal_1to2") == pytest.approx(5.0 / 6.0, abs=1e-15)
-    assert closed_form_bound("phase_1ton", 2) == closed_form_bound("phase_1to2")
     with pytest.raises(ValueError):
         closed_form_bound("phase_1ton")
     with pytest.raises(ValueError):

@@ -21,7 +21,6 @@ from clonebench.fidelity import copy_fidelity, n_clone_fidelity
 from clonebench.optimize import (
     SCAN_CONFIG,
     OptimizationConfig,
-    effective_dim,
     optimize,
     optimize_n,
     scan_equator,
@@ -64,13 +63,6 @@ def test_config_validation():
             OptimizationConfig(**{"restarts": 1, field: value})
 
 
-def test_effective_dim():
-    assert effective_dim(2, symmetric=False, ancilla_dim=1) == 4
-    assert effective_dim(2, symmetric=True, ancilla_dim=1) == 3
-    assert effective_dim(2, symmetric=True, ancilla_dim=2) == 6
-    assert effective_dim(3, symmetric=False, ancilla_dim=1) == 8
-
-
 @settings(deadline=None, max_examples=40)
 @given(arrays(np.float64, 16, elements=st.floats(-2.0, 2.0, allow_nan=False)))
 def test_parameterize_yields_feasible_isometries(params):
@@ -82,6 +74,10 @@ def test_parameterize_yields_feasible_isometries(params):
 
 
 def test_parameterize_symmetric_embeds_in_full_space():
+    # (full output dimension, symmetric subspace x ancilla dimension)
+    assert optimize_module._sym_embedding(2, 1).shape == (4, 3)
+    assert optimize_module._sym_embedding(2, 2).shape == (8, 6)
+    assert optimize_module._sym_embedding(3, 1).shape == (8, 4)
     rng = np.random.default_rng(2)
     q = optimize_module._columns_from_params(rng.standard_normal(12), 3)
     v = CloneIsometry(optimize_module._sym_embedding(2, 1) @ q)
@@ -182,8 +178,8 @@ SEARCH_CASES = [
 def test_search_objective_is_the_smoothed_objective_of_the_fidelities(
     mode, input_set, symmetric, ancilla_dim
 ):
-    d = effective_dim(2, symmetric, ancilla_dim)
-    embed = optimize_module._sym_embedding(2, ancilla_dim) if symmetric else np.eye(d)
+    embed = optimize_module._sym_embedding(2, ancilla_dim) if symmetric else np.eye(4 * ancilla_dim)
+    d = embed.shape[1]
     psis = np.column_stack(input_set.states())
     forms = optimize_module._copy_forms(psis, embed, 2, ancilla_dim)
     rng = np.random.default_rng(11)
@@ -216,8 +212,11 @@ def test_copy_forms_match_the_density_matrix_oracle(symmetric, ancilla_dim, copi
     angles = zip(rng.uniform(0.0, math.pi, 5), rng.uniform(0.0, TWO_PI, 5))
     points = [BlochPoint(theta, phi) for theta, phi in angles]
     psis = np.column_stack(InputSet("random", tuple(points)).states())
-    d_eff = effective_dim(copies, symmetric, ancilla_dim)
-    embed = optimize_module._sym_embedding(copies, ancilla_dim) if symmetric else np.eye(d_eff)
+    if symmetric:
+        embed = optimize_module._sym_embedding(copies, ancilla_dim)
+    else:
+        embed = np.eye(2**copies * ancilla_dim)
+    d_eff = embed.shape[1]
     forms = optimize_module._copy_forms(psis, embed, copies, ancilla_dim)
     for _ in range(5):
         x = rng.standard_normal(4 * d_eff)
@@ -361,11 +360,11 @@ def recorded_minimize(monkeypatch):
 
 def assert_search_gradient_matches_central_differences(recorded_minimize, input_set, cfg):
     optimize(input_set, cfg)
-    fun = recorded_minimize[0][0]
+    fun, res = recorded_minimize[0]
     rng = np.random.default_rng(3)
     h = 1e-6
     for _ in range(3):
-        x = rng.standard_normal(4 * effective_dim(2, cfg.symmetric, cfg.ancilla_dim))
+        x = rng.standard_normal(res.x.size)
         _, grad = fun(x)
         steps = np.eye(x.size) * h
         central = [(fun(x + e)[0] - fun(x - e)[0]) / (2.0 * h) for e in steps]
@@ -439,6 +438,23 @@ def test_optimize_is_deterministic():
     b = optimize(equatorial_trio(), SMALL)
     assert a.objective == b.objective
     assert a.raw_params == b.raw_params
+
+
+def test_the_first_of_tied_starts_wins(monkeypatch):
+    # doubling the raw parameters leaves the columns, and so every fidelity,
+    # bit-identical: the two starts tie exactly
+    x = np.asarray(optimize(equatorial_trio(), SMALL).raw_params)
+    objectives = []
+
+    def stay_put(fun, x0, **kwargs):
+        return SimpleNamespace(x=x0, fun=fun(x0)[0])
+
+    monkeypatch.setattr(optimize_module, "minimize", stay_put)
+    for first, second in ((x, 2.0 * x), (2.0 * x, x)):
+        res = optimize(equatorial_trio(), SMALL, _extra_starts=[first, second])
+        assert res.raw_params == tuple(first.tolist())
+        objectives.append(res.objective)
+    assert objectives[0] == objectives[1]
 
 
 def test_optimize_seed_changes_search_path():
