@@ -39,7 +39,6 @@ from .optimize import (
     optimize_n,
     scan_csv,
     scan_equator,
-    trio_is_degenerate,
 )
 from .states import (
     TWO_PI,
@@ -170,6 +169,16 @@ def _write_outputs(
                 fh.write(body)
         except OSError as exc:
             raise UsageError(f"cannot write {path!r}: {exc}")
+
+
+def _check_out(out: str) -> None:
+    """Refuse, before any work, an --out that names no file or a directory,
+    or whose directory is missing or not writable."""
+    parent = os.path.dirname(out) or "."
+    if not os.path.basename(out) or os.path.isdir(out):
+        raise UsageError(f"--out {out!r} is not a file name")
+    if not os.access(parent, os.W_OK):
+        raise UsageError(f"cannot write {out!r}: {parent!r} is missing or not writable")
 
 
 def _manifest(args: argparse.Namespace, config: dict, t0: float) -> dict:
@@ -335,7 +344,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if not 0.0 <= args.budget < math.inf:
         raise UsageError(f"--budget {args.budget} must be finite and >= 0")
     cells_done: list[tuple[int, int, float]] = []
-    phis = [k * 360.0 / args.resolution for k in range(args.resolution)]
 
     def progress(i: int, j: int, value: float) -> None:
         cells_done.append((i, j, value))
@@ -348,21 +356,13 @@ def cmd_scan(args: argparse.Namespace) -> int:
     except _BudgetExceeded:
         manifest = _manifest(args, {"resolution": args.resolution}, t0)
         manifest["note"] = f"budget of {args.budget}s exceeded; CSV is partial"
-        partial = scan_csv(
-            (
-                phis[i],
-                phis[j],
-                value,
-                trio_is_degenerate(math.radians(phis[i]), math.radians(phis[j])),
-            )
-            for i, j, value in cells_done
-        )
-        _write_outputs(args.out, partial, manifest)
+        _write_outputs(args.out, scan_csv(args.resolution, cells_done), manifest)
         return EXIT_BUDGET
 
-    cells = grid.minimum_cells()
     step = 360.0 / args.resolution
-    minima_deg = [[phis[i], phis[j]] for i, j in cells]
+    minima_deg = [
+        [i * 360.0 / args.resolution, j * 360.0 / args.resolution] for i, j in grid.minimum_cells()
+    ]
     vmin = float(grid.fidelity[~grid.degenerate_mask].min())
     # the exact minima sit on the grid only when the resolution divides 120
     on_grid = args.resolution % 3 == 0
@@ -382,12 +382,13 @@ def cmd_scan(args: argparse.Namespace) -> int:
         "located": located,
     }
     manifest = _manifest(args, {"resolution": args.resolution}, t0)
+    csv_text = scan_csv(args.resolution, cells_done)
     summary_text = _dumps(summary) + "\n"
     if args.out is None:
         # without --out the summary follows the CSV on stdout
-        _write_outputs(None, grid.to_csv() + summary_text, manifest)
+        _write_outputs(None, csv_text + summary_text, manifest)
     else:
-        _write_outputs(args.out, grid.to_csv(), manifest, {args.out + ".summary.json": summary_text})
+        _write_outputs(args.out, csv_text, manifest, {args.out + ".summary.json": summary_text})
     return EXIT_OK if located else EXIT_SELF_CHECK
 
 
@@ -484,6 +485,8 @@ def main(argv: list[str] | None = None) -> int:
             args.seed = _default_seed()
         if args.seed < 0:
             raise UsageError(f"seed {args.seed} must be >= 0")
+        if args.out is not None:
+            _check_out(args.out)
         return command[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

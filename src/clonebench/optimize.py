@@ -52,7 +52,6 @@ from .states import TWO_PI, BlochPoint, InputSet, equatorial_trio
 SMOOTH_SHARPNESS = 500.0  # log-sum-exp softening of the hard min
 POLISH_SHARPNESS = (5e2, 5e3, 5e4, 5e5, 5e6, 5e7)  # the max-min polish stages
 PENALTY_WEIGHT = 100.0  # weight of the fidelity variance in equal_fidelity_penalty
-DEGENERATE_OVERLAP = 1.0 - 1e-9  # two states this close count as coinciding
 MAX_ITERS = 15000  # descent iteration cap, scipy L-BFGS-B's default
 ARMIJO_C1 = 1e-4  # sufficient-decrease constant of the backtracking line search
 MIN_STEP = 1e-20  # a line search whose step falls below this has failed
@@ -175,12 +174,21 @@ class OptimizationResult:
     raw_params: tuple[float, ...] | None = None  # raw search coordinates of `best`
 
 
+def _coinciding(i, j):
+    """Whether scan cell (i, j), the trio of phase indices {0, i, j}, has two
+    coinciding states, so that its `_orbit_key` has a zero gap. Works
+    elementwise on index arrays too."""
+    return (i == 0) | (j == 0) | (i == j)
+
+
 @dataclass
 class ScanGrid:
     resolution: int
-    phi_values: np.ndarray  # radians, the phases of both axes
     fidelity: np.ndarray  # (resolution, resolution), row index = phi2
-    degenerate_mask: np.ndarray
+
+    @property
+    def degenerate_mask(self) -> np.ndarray:
+        return _coinciding(*np.indices(self.fidelity.shape))
 
     def minimum_cells(self, slack: float = 1e-6) -> list[tuple[int, int]]:
         """Indices of non-degenerate cells within `slack` of the global minimum."""
@@ -189,23 +197,17 @@ class ScanGrid:
         cells = np.argwhere(ok & (self.fidelity <= vmin + slack))
         return [tuple(map(int, ij)) for ij in cells]
 
-    def to_csv(self) -> str:
-        return scan_csv(
-            (math.degrees(p2), math.degrees(p3), self.fidelity[i, j], self.degenerate_mask[i, j])
-            for i, p2 in enumerate(self.phi_values)
-            for j, p3 in enumerate(self.phi_values)
-        )
 
-
-def scan_csv(rows: Iterable[tuple[float, float, float, bool]]) -> str:
-    """CSV text of scan cells given as (phi2_deg, phi3_deg, fidelity, degenerate)."""
+def scan_csv(resolution: int, cells: Iterable[tuple[int, int, float]]) -> str:
+    """CSV text of scan cells given as (i, j, fidelity), in the order given;
+    phase index k is k * 360 / resolution degrees."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["phi2_deg", "phi3_deg", "fidelity", "degenerate"])
-    for p2, p3, fidelity, degenerate in rows:
-        writer.writerow(
-            [f"{p2:.6f}", f"{p3:.6f}", f"{fidelity:.12f}", "true" if degenerate else "false"]
-        )
+    for i, j, fidelity in cells:
+        p2, p3 = i * 360.0 / resolution, j * 360.0 / resolution
+        degenerate = "true" if _coinciding(i, j) else "false"
+        writer.writerow([f"{p2:.6f}", f"{p3:.6f}", f"{fidelity:.12f}", degenerate])
     return buf.getvalue()
 
 
@@ -463,20 +465,6 @@ def optimize(
 # contour scan over trio phases
 
 
-def _trio_set(phi2: float, phi3: float) -> InputSet:
-    pts = tuple(BlochPoint(math.pi / 2.0, p) for p in (0.0, phi2, phi3))
-    return InputSet(f"trio({math.degrees(phi2):.1f},{math.degrees(phi3):.1f})", pts)
-
-
-def trio_is_degenerate(phi2: float, phi3: float) -> bool:
-    vecs = _trio_set(phi2, phi3).states()
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if abs(np.vdot(vecs[i], vecs[j])) >= DEGENERATE_OVERLAP:
-                return True
-    return False
-
-
 # the per-orbit search of the scan: the equal-fidelity/symmetric conditions with
 # a cheap restart schedule (warm starts from the orbits solved just before
 # cover the rest)
@@ -507,25 +495,21 @@ def scan_equator(resolution: int, seed: int = 0, progress=None) -> ScanGrid:
     cfg = replace(SCAN_CONFIG, seed=seed)
     phis = np.linspace(0.0, TWO_PI, resolution, endpoint=False)
     grid = np.zeros((resolution, resolution))
-    mask = np.zeros((resolution, resolution), dtype=bool)
-    solved: dict[tuple[int, ...], tuple[float, bool]] = {}
+    solved: dict[tuple[int, ...], float] = {}
     warm: list[np.ndarray] = []  # raw parameters of the last two orbits solved
     for i, p2 in enumerate(phis):
         for j, p3 in enumerate(phis):
             key = _orbit_key(i, j, resolution)
             if key not in solved:
-                res = optimize(
-                    _trio_set(p2, p3),
-                    cfg,
-                    _stream=(seed, i * resolution + j),
-                    _extra_starts=warm,
-                )
-                solved[key] = (res.objective, trio_is_degenerate(p2, p3))
+                pts = tuple(BlochPoint(math.pi / 2.0, p) for p in (0.0, p2, p3))
+                trio = InputSet(f"trio({math.degrees(p2):.1f},{math.degrees(p3):.1f})", pts)
+                res = optimize(trio, cfg, _stream=(seed, i * resolution + j), _extra_starts=warm)
+                solved[key] = res.objective
                 warm = [np.asarray(res.raw_params), *warm[:1]]
-            grid[i, j], mask[i, j] = solved[key]
+            grid[i, j] = solved[key]
             if progress is not None:
                 progress(i, j, grid[i, j])
-    return ScanGrid(resolution=resolution, phi_values=phis, fidelity=grid, degenerate_mask=mask)
+    return ScanGrid(resolution=resolution, fidelity=grid)
 
 
 # ---------------------------------------------------------------------------

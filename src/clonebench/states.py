@@ -64,7 +64,10 @@ class InputSet:
     @classmethod
     def from_json(cls, text: str) -> "InputSet":
         doc = json.loads(text)
-        points = tuple(BlochPoint(q["theta"], q["phi"]) for q in doc["points"])
+        angles = [(q["theta"], q["phi"]) for q in doc["points"]]
+        if any(isinstance(a, bool) for pair in angles for a in pair):  # JSON true reads as 1
+            raise TypeError("theta and phi must be numbers, not booleans")
+        points = tuple(BlochPoint(*pair) for pair in angles)
         if not isinstance(doc["label"], str):
             raise TypeError("label must be a string")
         return cls(label=doc["label"], points=points)

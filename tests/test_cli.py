@@ -176,6 +176,15 @@ def test_scan_budget_exceeded(tmp_path, capsys):
     assert len(lines) < 8 * 8 + 1
 
 
+def test_budget_csv_is_a_prefix_of_the_full_csv(capsys):
+    assert main(["scan", "--resolution", "8"]) == 0
+    full = capsys.readouterr().out
+    assert main(["scan", "--resolution", "8", "--budget", "1e-6"]) == 4
+    partial = capsys.readouterr().out
+    assert partial.count("\n") > 1
+    assert full.startswith(partial) and len(partial) < len(full)
+
+
 def test_scan_low_resolution_exit_2(capsys):
     assert main(["scan", "--resolution", "4"]) == 2
 
@@ -257,6 +266,7 @@ def run_cli(argv):
         ["scan", "--resolution", "8", "--budget", "nan"],
         ["scan", "--resolution", "8", "--budget", "inf"],
         ["optimize", "--set", '{"points": ' + "[" * 2000 + "]" * 2000 + "}"],
+        ["optimize", "--set", '{"label": "x", "points": [{"theta": true, "phi": 0.0}]}'],
     ],
 )
 def test_malformed_input_exits_2(argv, capsys):
@@ -268,16 +278,23 @@ def test_malformed_input_exits_2(argv, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["verify", "--machine", "uqcm", "--set", "trio"], ["scan", "--resolution", "8"]],
-    ids=["verify", "scan"],
+    [
+        ["verify", "--machine", "uqcm", "--set", "trio"],
+        ["scan", "--resolution", "8"],
+        ["optimize", "--set", "trio", "--restarts", "1"],
+        ["nclone", "--n", "2", "--restarts", "1"],
+    ],
+    ids=["verify", "scan", "optimize", "nclone"],
 )
-@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("target", ["missing-directory", "directory", "empty"])
 def test_unwritable_out_exits_2(tmp_path, capsys, argv, target):
-    out = tmp_path / "missing" / "out" if target == "missing-directory" else tmp_path
-    assert main([*argv, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert "Traceback" not in err
+    # refused before the command runs, so nothing reaches stdout
+    out = {"missing-directory": tmp_path / "missing" / "out", "directory": tmp_path, "empty": ""}
+    assert main([*argv, "--out", str(out[target])]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
 
 
 def test_negative_environment_seed_exits_2(monkeypatch, capsys):

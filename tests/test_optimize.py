@@ -21,10 +21,11 @@ from clonebench.fidelity import copy_fidelity, n_clone_fidelity
 from clonebench.optimize import (
     SCAN_CONFIG,
     OptimizationConfig,
+    ScanGrid,
     optimize,
     optimize_n,
+    scan_csv,
     scan_equator,
-    trio_is_degenerate,
 )
 from clonebench.qlinalg import DegenerateColumnsError
 from clonebench.states import (
@@ -481,10 +482,21 @@ def test_optimize_n_range():
         optimize_n(OptimizationConfig(copies=9))
 
 
-def test_trio_degeneracy_detection():
-    assert trio_is_degenerate(0.0, 1.0)
-    assert trio_is_degenerate(1.0, 1.0)
-    assert not trio_is_degenerate(TWO_PI / 3.0, 2.0 * TWO_PI / 3.0)
+@pytest.mark.parametrize("r", [8, 9, 24, 61])
+def test_degenerate_cells_are_those_with_coinciding_states(r):
+    # reference rule: two of the cell's three kets overlap to within 1e-9
+    phis = np.linspace(0.0, TWO_PI, r, endpoint=False)
+
+    def coinciding(i, j):
+        kets = [bloch_to_state(BlochPoint(math.pi / 2.0, phis[k])) for k in (0, i, j)]
+        return any(
+            abs(np.vdot(kets[a], kets[b])) >= 1.0 - 1e-9 for a, b in ((0, 1), (0, 2), (1, 2))
+        )
+
+    expected = np.array([[coinciding(i, j) for j in range(r)] for i in range(r)])
+    assert np.array_equal(ScanGrid(r, np.zeros((r, r))).degenerate_mask, expected)
+    rows = scan_csv(r, ((i, j, 0.9) for i in range(r) for j in range(r))).splitlines()[1:]
+    assert [row.split(",")[3] == "true" for row in rows] == expected.ravel().tolist()
 
 
 def test_scan_config_caps_the_budget():
@@ -527,11 +539,13 @@ def test_scan_minimum_near_the_trio_cells(scan8):
 
 
 def test_scan_csv_format(scan8):
-    lines = scan8.to_csv().splitlines()
+    cells = [(i, j, scan8.fidelity[i, j]) for i in range(8) for j in range(8)]
+    lines = scan_csv(8, cells).splitlines()
     assert lines[0] == "phi2_deg,phi3_deg,fidelity,degenerate"
     assert len(lines) == 8 * 8 + 1
     first = lines[1].split(",")
     assert first[0] == "0.000000" and first[1] == "0.000000"
+    assert lines[2].startswith("0.000000,45.000000,")
     assert len(first[2].split(".")[1]) == 12
     assert first[3] in ("true", "false")
 
