@@ -4,50 +4,40 @@ One search serves 1->2 and 1->n: `optimize` finds the best 1->copies machine
 for an input set, and `optimize_n` is that search on the 120-degree trio
 inside the symmetric subspace.
 
-Constraints are handled by construction: raw real parameters are read as two
-complex output columns, Gram-Schmidt orthonormalized, and (optionally)
-embedded from the symmetric subspace, so every iterate is a valid isometry.
-
-Every copy fidelity is a Hermitian form in the two columns (Fiurasek, PRA 64,
-062310, 2001). With y the real and imaginary parts of the stacked columns,
-F_n = y^T R_n y for a real symmetric stack R built once per input set, one
-form per (copy, state). One evaluation (`_search_objective`) is fused real
-arithmetic on the raw parameters read as a 4 x d matrix X: the Gram matrix
-of X gives the scalars of the Gram-Schmidt map M, the columns are Y = M X,
-the fidelities are one stacked product R y, and the gradient G = 2 sum w_n
-R_n y pulls back as M^T G + K X, with K a 4 x 4 matrix of scalars. That is
-about 30 numpy calls on 4 x d arrays, and `_columns_from_params` builds the
-reported machine through the same Gram-Schmidt. Local descent is BFGS
-(`_descend`) with independent random restarts; the hard min objective is
-smoothed with a log-sum-exp during the search, and the exact objective is
-re-evaluated for reporting.
+Raw real parameters are read as two complex output columns, Gram-Schmidt
+orthonormalized and (optionally) embedded from the symmetric subspace, so
+every iterate is a valid isometry. Every copy fidelity is a Hermitian form
+in the columns (Fiurasek, PRA 64, 062310, 2001): F_n = y^T R_n y, with y the
+real and imaginary parts of the stacked columns. `_search_objective`
+evaluates a batch of parameter rows, each step one numpy call for the whole
+batch, and `_descend` runs BFGS from every row in lockstep. The hard min is
+smoothed with a log-sum-exp during the search and re-evaluated exactly.
 
 A search is set by OptimizationConfig: restarts, the exploration tolerance,
 the objective mode, the parameterization (symmetric, ancilla_dim, copies) and
 the seed. A descent stops when one step lowers the smoothed objective by at
 most tol relative to its size, or when its gradient vanishes; the winner is
 then polished with tolerances near machine precision, for max-min through
-the softmin sharpnesses POLISH_SHARPNESS in turn. No search sets an
-iteration cap: descents stop on the tolerance, far inside MAX_ITERS.
+the softmin sharpnesses POLISH_SHARPNESS in turn, far inside MAX_ITERS.
 
-The searches call the module attribute `minimize`, bound to `_descend`, so a
-caller can wrap every local descent in one place.
+The searches call the module attribute `minimize`, bound to `_descend`, once
+per batched descent: `optimize` once to explore all its starts and once per
+polish stage, `scan_equator` twice per batch of orbits.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .cloners import CloneIsometry
 from .qlinalg import DegenerateColumnsError, sym_basis
-from .states import TWO_PI, BlochPoint, InputSet, equatorial_trio
+from .states import TWO_PI, BlochPoint, InputSet, bloch_to_state, equatorial_trio
 
 SMOOTH_SHARPNESS = 500.0  # log-sum-exp softening of the hard min
 POLISH_SHARPNESS = (5e2, 5e3, 5e4, 5e5, 5e6, 5e7)  # the max-min polish stages
@@ -55,85 +45,115 @@ PENALTY_WEIGHT = 100.0  # weight of the fidelity variance in equal_fidelity_pena
 MAX_ITERS = 15000  # descent iteration cap, scipy L-BFGS-B's default
 ARMIJO_C1 = 1e-4  # sufficient-decrease constant of the backtracking line search
 MIN_STEP = 1e-20  # a line search whose step falls below this has failed
+UPDATE_SLICE = 32  # members per slice of the inverse-Hessian update, to bound its temporaries
 
 
 class _Descent(NamedTuple):
-    x: np.ndarray
-    fun: float
-    nit: int
-    nfev: int
-    success: bool
+    x: np.ndarray  # (k, n) final points
+    fun: np.ndarray  # (k,) final values
+    nit: np.ndarray  # (k,) accepted steps
+    nfev: np.ndarray  # (k,) evaluations
+    converged: np.ndarray  # (k,) whether each member stopped on a tolerance
+    success: bool  # whether every member converged
 
 
 def _descend(fun, x0, ftol: float = 1e-6, gtol: float = 1e-5) -> _Descent:
-    """Minimize `fun`, which returns (value, gradient), by BFGS from x0
-    (Nocedal & Wright, Numerical Optimization, 2006: Alg. 6.1 with the
-    backtracking of Alg. 3.1).
+    """BFGS from every row of x0, all rows in lockstep (Nocedal & Wright,
+    Numerical Optimization, 2006: Alg. 6.1 with the backtracking of Alg. 3.1).
 
-    A dense inverse Hessian H starts as (s.y / y.y) I after the first accepted
-    step, which goes along -g/|g|; an update whose curvature s.y is at most
-    1e-12 y.y is skipped, and steepest descent replaces -Hg when that is not
-    a descent direction. Each step backtracks from t = 1 to the Armijo
-    condition, by quadratic interpolation clamped to [0.1 t, 0.5 t], or by
-    halving where the value is not finite or where the step rounds away, so
-    that x + t p == x is never taken for a step. The descent stops with success
-    when max|g| <= gtol or when one step lowers the value by at most
-    ftol * max(|f_k|, |f_k+1|, 1), the two tests of scipy's L-BFGS-B; it fails
-    when the start value is not finite or the step falls below MIN_STEP.
+    `fun(x, idx)` returns values (k,) and gradients (k, n) at the rows of x,
+    the batch members idx. Each round evaluates every running member once; a
+    member that stops leaves the batch. Each member keeps the serial rules: H
+    starts as (s.y / y.y) I after the first step, which goes along -g/|g|;
+    an update with s.y <= 1e-12 y.y is skipped, and -g replaces a -Hg that
+    is no descent direction. A step backtracks from t = 1 to the Armijo
+    condition by the parabola clamped to [0.1 t, 0.5 t], or by halving where
+    the value is not finite or x + t p rounds to x. A member converges when
+    max|g| <= gtol or one step lowers its value by at most ftol * max(|f_k|,
+    |f_k+1|, 1) (scipy's L-BFGS-B tests), and fails at a non-finite start, a
+    step below MIN_STEP or MAX_ITERS steps.
     """
+    add, where, count = np.add.reduce, np.where, np.count_nonzero
     x = np.array(x0, dtype=float)
-    f, g = fun(x)
-    nfev = 1
-    if not math.isfinite(f):
-        return _Descent(x, f, 0, nfev, False)
-    h = None
-    for nit in range(MAX_ITERS):
-        if np.abs(g).max() <= gtol:
-            return _Descent(x, f, nit, nfev, True)
-        if h is None:
-            p = g / -math.sqrt(g.dot(g))
-        else:
-            p = -h.dot(g)
-        slope = g.dot(p)
-        if not slope < 0.0:
-            p = -g
-            slope = -g.dot(g)
-        t = 1.0
+    k, n = x.shape
+    idx = np.arange(k)
+    f, g = fun(x, idx)
+    out = _Descent(x.copy(), f.copy(), np.zeros(k, int), np.ones(k, int), np.zeros(k, bool), False)
+    # a member keeps H = I, with its step scaled by 1/|g|, until its first update
+    h = np.broadcast_to(np.eye(n), (k, n, n)).copy()
+    has_h, nit, p, t, slope = np.zeros(k, bool), np.zeros(k, int), np.zeros_like(x), np.ones(k), np.zeros(k)
+    ok = np.isfinite(f) & (np.maximum.reduce(np.abs(g), 1) <= gtol)  # members that converged
+    done = ok | ~np.isfinite(f)
+    fresh, rounds = ~done, 0  # members at the top of an iteration, and rounds made
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while True:
-            x_new = x + t * p
-            f_new, g_new = fun(x_new)
-            nfev += 1
-            if not math.isfinite(f_new):
-                t *= 0.5
-            elif f_new <= f + ARMIJO_C1 * t * slope:
-                # the test passes also when x_new rounds to x; that is no step
-                s = x_new - x
-                if f_new < f or (f_new == f and s.any()):
+            if count(done):
+                # write the finished members out and drop them from the batch
+                gone = idx[done]
+                out.x[gone], out.fun[gone], out.nit[gone] = x[done], f[done], nit[done]
+                out.nfev[gone], out.converged[gone] = rounds + 1, ok[done]
+                keep = ~done
+                idx, x, f, g, h, has_h, nit, p, t, slope, fresh = (
+                    a[keep] for a in (idx, x, f, g, h, has_h, nit, p, t, slope, fresh)
+                )
+                if not idx.size:
                     break
-                t *= 0.5
-            else:
-                # minimizer of the parabola through f, slope and f_new
-                t_min = -slope * t * t / (2.0 * (f_new - f - slope * t))
-                t = min(max(t_min, 0.1 * t), 0.5 * t)
-            if t < MIN_STEP:
-                return _Descent(x, f, nit, nfev, False)
-        y = g_new - g
-        decrease = f - f_new
-        x, g = x_new, g_new
-        if decrease <= ftol * max(abs(f), abs(f_new), 1.0):
-            return _Descent(x, f_new, nit + 1, nfev, True)
-        f = f_new
-        sy = s.dot(y)
-        yy = y.dot(y)
-        if sy > 1e-12 * yy:
-            if h is None:
-                h = np.eye(x.size) * (sy / yy)
-            hy = h.dot(y)
-            rho = 1.0 / sy
-            # the rank-2 update as A + A^T, so h stays exactly symmetric
-            half = s[:, None] * ((0.5 * rho * (rho * y.dot(hy) + 1.0)) * s - rho * hy)
-            h += half + half.T
-    return _Descent(x, f, MAX_ITERS, nfev, False)
+            if count(fresh):
+                # a new iteration: -H g, or -g/|g| before the first update
+                new = -np.matmul(h, g[:, :, None])[:, :, 0]
+                new /= where(has_h, 1.0, np.sqrt(add(g * g, 1)))[:, None]
+                new_slope = add(g * new, 1)
+                uphill = ~(new_slope < 0.0)
+                if count(uphill):
+                    new[uphill] = -g[uphill]
+                    new_slope[uphill] = -add(g[uphill] * g[uphill], 1)
+                if count(fresh) == len(idx):
+                    p, slope, t = new, new_slope, np.ones(len(idx))
+                else:
+                    p, slope = where(fresh[:, None], new, p), where(fresh, new_slope, slope)
+                    t = where(fresh, 1.0, t)
+            x_new = x + t[:, None] * p
+            f_new, g_new = fun(x_new, idx)
+            rounds += 1
+            s, y = x_new - x, g_new - g
+            finite = np.isfinite(f_new)
+            armijo = finite & (f_new <= f + ARMIJO_C1 * t * slope)
+            accept = armijo & (f_new < f)
+            failed = False
+            if count(accept) < len(idx):
+                # the test passes also when x_new rounds to x; that is no step
+                accept |= armijo & (f_new == f) & s.any(1)
+                # the minimizer of the parabola through f, slope and f_new, or half the step
+                t_par = -slope * t * t / (2.0 * (f_new - f - slope * t))
+                t = where(finite & ~armijo, np.minimum(np.maximum(t_par, 0.1 * t), 0.5 * t), 0.5 * t)
+                failed = ~accept & (t < MIN_STEP)
+            # max(|f|, |f_new|) is max(f, -f_new) where f_new <= f
+            stop = accept & (f - f_new <= ftol * np.maximum(np.maximum(f, -f_new), 1.0))
+            x, g, f = where(accept[:, None], x_new, x), where(accept[:, None], g_new, g), where(accept, f_new, f)
+            nit += accept
+            conv = accept & (np.maximum.reduce(np.abs(g), 1) <= gtol)
+            if rounds >= MAX_ITERS:
+                # the last step allowed ends the descent before its gtol test
+                capped = accept & ~stop & (nit >= MAX_ITERS)
+                conv, failed = conv & ~capped, failed | capped
+            ok = stop | conv
+            done = failed | ok
+            sy, yy = add(s * y, 1, keepdims=True), add(y * y, 1, keepdims=True)
+            update = accept & ~done & (sy > 1e-12 * yy)[:, 0]
+            if count(update):
+                first = update & ~has_h
+                h[first] = np.eye(n) * (sy[first] / yy[first])[:, :, None]
+                has_h |= first
+                # the members without an update get a zero one
+                rho, s, y = (where(update[:, None], a, 0.0) for a in (1.0 / sy, s, y))
+                hy = np.matmul(h, y[:, :, None])[:, :, 0]
+                v = (0.5 * rho * (rho * add(y * hy, 1, keepdims=True) + 1.0)) * s - rho * hy
+                # the rank-2 update as A + A^T, so each H stays exactly symmetric
+                for lo in range(0, len(idx), UPDATE_SLICE):
+                    half = s[lo : lo + UPDATE_SLICE, :, None] * v[lo : lo + UPDATE_SLICE, None, :]
+                    h[lo : lo + UPDATE_SLICE] += half + half.transpose(0, 2, 1)
+            fresh = accept & ~done
+    return out._replace(success=bool(out.converged.all()))
 
 
 minimize = _descend
@@ -171,7 +191,6 @@ class OptimizationResult:
     spread: float
     restarts_hitting_best: int
     seed: int
-    raw_params: tuple[float, ...] | None = None  # raw search coordinates of `best`
 
 
 def _coinciding(i, j):
@@ -224,56 +243,51 @@ def _sym_embedding(copies: int, ancilla_dim: int) -> np.ndarray:
     return np.kron(s, np.eye(ancilla_dim))
 
 
-def _rows4(*entries: float) -> np.ndarray:
-    """The 4-row matrix with these entries in row-major order."""
-    return np.array(entries).reshape(4, -1)
+def _pattern(names: str, *rows: str) -> np.ndarray:
+    """The 0/+-1 matrix P with (c @ P).reshape(k, 4, w) the table of the
+    coefficients each cell names (a minus negates); T.reshape(k, -1) @ P.T
+    sums cells into names. Two terms at most, so no row depends on its batch."""
+    names, cells = names.split(), " ".join(rows).split()
+    p = np.zeros((len(names), len(cells)))
+    for c, entry in enumerate(cells):
+        if entry != "0":
+            p[names.index(entry.lstrip("-")), c] = -1.0 if entry[0] == "-" else 1.0
+    return p
+
+
+# |c0|^2 and c0^dag c1 = re + i im from X X^T, for the first pass
+_GRAM = _pattern("nn0 re im", "nn0 re 0 im", "0 0 -im 0", "0 0 nn0 re", "0 0 0 0").T
+# c0^dag w and |w|^2 from W W^T, for the second pass
+_GRAM2 = _pattern("re im ww", "0 re 0 im", "0 ww -im 0", "0 0 0 re", "0 0 0 ww").T
+# the first pass w = c1 - gamma c0, from (1, a, b) with gamma = a + ib
+_PASS1 = _pattern("one a b", "one 0 0 0", "-a one b 0", "0 0 one 0", "-b 0 -a one")
+# the second pass and the normalization, from (1/n0, 1/n1, a2/n1, b2/n1)
+_PASS2 = _pattern("r0 r1 a b", "r0 0 0 0", "-a r1 b 0", "0 0 r0 0", "-b 0 -a r1")
 
 
 def _gram_schmidt(x: np.ndarray, d: int):
-    """Gram-Schmidt on the two raw columns, in real arithmetic.
+    """Gram-Schmidt on the two raw columns of each row of x, in real arithmetic.
 
-    x is read as the 4 x d matrix X with rows Re c0, Re c1, Im c0, Im c1. The
-    orthonormal columns q0 = c0 / n0 and q1 = (c1 - gamma c0) / n1, with
-    gamma = c0^dag c1 / |c0|^2 = a + ib, come back in the same layout as
-    Y = M X, where M is the 4 x 4 real matrix of (n0, n1, a, b). The second
-    column is orthogonalized in two passes, each from the Gram matrix of its
-    own input, so q1 stays orthogonal to q0 for nearly parallel raw columns
-    and n1 never comes from the cancelling |c1|^2 - |c0^dag c1|^2 / |c0|^2.
-    Returns X, Y, n0, n1, a and b.
-
-    The small products use ndarray.dot, which costs a third of `@` here.
-    """
-    xm = x.reshape(4, d)
-    (g00, g01, _, g03), (_, _, g12, _), (_, _, g22, g23), _ = xm.dot(xm.T).tolist()
-    nn0 = g00 + g22
-    if nn0 <= 1e-20:
-        raise DegenerateColumnsError("first raw column is numerically zero")
-    a = (g01 + g23) / nn0
-    b = (g03 - g12) / nn0
-    # rows c0 and w = c1 - gamma c0; the second pass repeats this step on w
-    w = _rows4(
-        1.0, 0.0, 0.0, 0.0,
-        -a, 1.0, b, 0.0,
-        0.0, 0.0, 1.0, 0.0,
-        -b, 0.0, -a, 1.0,
-    ).dot(xm)  # fmt: skip
-    (_, h01, _, h03), (_, h11, h12, _), (_, _, _, h23), (_, _, _, h33) = w.dot(w.T).tolist()
-    a2 = (h01 + h23) / nn0
-    b2 = (h03 - h12) / nn0
-    # |w|^2 minus its part along c0, which the first pass left tiny
-    nn1 = h11 + h33 - (a2 * a2 + b2 * b2) * nn0
-    if nn1 <= 1e-20:
-        raise DegenerateColumnsError("raw columns are numerically parallel")
-    n0 = math.sqrt(nn0)
-    n1 = math.sqrt(nn1)
-    r0, r1 = 1.0 / n0, 1.0 / n1
-    ym = _rows4(
-        r0, 0.0, 0.0, 0.0,
-        -a2 * r1, r1, b2 * r1, 0.0,
-        0.0, 0.0, r0, 0.0,
-        -b2 * r1, 0.0, -a2 * r1, r1,
-    ).dot(w)  # fmt: skip
-    return xm, ym, n0, n1, a + a2, b + b2
+    A row is read as the 4 x d matrix X with rows Re c0, Re c1, Im c0, Im c1.
+    The columns q0 = c0 / n0 and q1 = (c1 - gamma c0) / n1, with gamma =
+    c0^dag c1 / |c0|^2 = a + ib, come back as Y = M X in the same layout. The
+    second column is orthogonalized in two passes, each from the Gram matrix
+    of its own input, so q1 stays orthogonal to q0 for nearly parallel
+    columns. Returns X, Y, (1/n0, 1/n1), (a, b) and which rows are degenerate
+    (a numerically zero first column or parallel columns; finite placeholders)."""
+    xm = x.reshape(-1, 4, d)
+    g = np.matmul(xm, xm.swapaxes(1, 2)).reshape(-1, 16) @ _GRAM
+    nn0 = np.maximum(g[:, :1], 1e-20)
+    # rows c0 and w = c1 - gamma c0, from (1, a, b); the second pass repeats it on w
+    one_ab = g / nn0
+    w = np.matmul((one_ab @ _PASS1).reshape(-1, 4, 4), xm)
+    h = np.matmul(w, w.swapaxes(1, 2)).reshape(-1, 16) @ _GRAM2
+    ab2 = h[:, :2] / nn0
+    # |c0|^2, and |w|^2 minus its part along c0, which the first pass left tiny
+    nn = np.concatenate((g[:, :1], h[:, 2:] - np.add.reduce(ab2 * h[:, :2], 1, keepdims=True)), 1)
+    r = 1.0 / np.sqrt(np.maximum(nn, 1e-20))
+    ym = np.matmul((np.concatenate((r, ab2 * r[:, 1:]), 1) @ _PASS2).reshape(-1, 4, 4), w)
+    return xm, ym, r, one_ab[:, 1:] + ab2, ~(np.minimum.reduce(nn, 1) > 1e-20)
 
 
 def _columns_from_params(params: np.ndarray, d: int) -> np.ndarray:
@@ -281,8 +295,10 @@ def _columns_from_params(params: np.ndarray, d: int) -> np.ndarray:
     x = np.asarray(params, dtype=float)
     if x.size != 4 * d:
         raise ValueError(f"expected {4 * d} parameters, got {x.size}")
-    y = _gram_schmidt(x, d)[1]
-    return (y[:2] + 1j * y[2:]).T
+    _, ym, _, _, bad = _gram_schmidt(x, d)
+    if bad[0]:
+        raise DegenerateColumnsError("raw columns are zero or numerically parallel")
+    return (ym[0, :2] + 1j * ym[0, 2:]).T
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +315,8 @@ def _copy_forms(
 ) -> np.ndarray:
     """Forms of the copy fidelities of the 1->copies machine embed @ q on the
     states in the columns of psis: copy 0 of every state, then copy 1, and so
-    on."""
+    on. The m forms R_n come laid out for one product with a stack of
+    columns: the (4d, m*4d) matrix F with (y @ F)[n*4d + i] = (R_n y)_i."""
     d = embed.shape[1]
     factors = embed.reshape([2] * copies + [ancilla_dim, d])
     hs = []
@@ -310,154 +327,187 @@ def _copy_forms(
             proj_embed = np.moveaxis(np.tensordot(pp, factors, axes=(1, copy)), 0, copy)
             # the output on psi is embed @ q @ psi, and q @ psi = (psi^T x I) v
             hs.append(np.kron(pp.conj(), embed.conj().T @ proj_embed.reshape(-1, d)))
-    return _real_forms(np.array(hs))
+    forms = _real_forms(np.array(hs))
+    return forms.transpose(2, 0, 1).reshape(4 * d, -1)
 
 
-def _fidelities(forms: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Fidelities of the columns q, through y = [Re q0, Re q1, Im q0, Im q1]."""
-    y = np.concatenate([q.T.real, q.T.imag]).ravel()
-    return (forms @ y) @ y
-
-
-def _exact_objective(fids: np.ndarray, mode: str) -> float:
+def _exact_objective(fids: np.ndarray, mode: str) -> np.ndarray:
+    """The objective of each row of fidelities: the least, or the penalty."""
     if mode == "max_min":
-        return float(fids.min())
-    return float(fids.mean() - PENALTY_WEIGHT * fids.var())
+        return fids.min(-1)
+    return fids.mean(-1) - PENALTY_WEIGHT * fids.var(-1)
+
+
+def _fidelity_stack(x: np.ndarray, forms: np.ndarray, d: int, rows=None):
+    """The Gram-Schmidt of every row of x, the form products R_n y of its
+    columns y as a (k, m, 4d) stack, and the fidelities y^T R_n y.
+
+    forms is one problem's `_copy_forms`, shared by every row, or with rows
+    = (problem, slot, width) a stack of p problems' forms: row i belongs to
+    problem[i], and the rows meet their forms in one product per problem in a
+    (p, width) layout, zero-padded once members have left the batch."""
+    xm, ym, r, ab, bad = _gram_schmidt(x, d)
+    k, n = len(ym), 4 * d
+    y = ym.reshape(k, n)
+    if rows is None:
+        ry = y @ forms
+    elif k == len(forms) * rows[2]:
+        # no member has left: the rows are that layout already
+        ry = np.matmul(y.reshape(len(forms), -1, n), forms)
+    else:
+        problem, slot, width = rows
+        pad = np.zeros((len(forms), width, n))
+        pad[problem, slot] = y
+        ry = np.matmul(pad, forms)[problem, slot]
+    ry = ry.reshape(k, -1, n)
+    return xm, ym, r, ab, bad, ry, np.matmul(ry, y[:, :, None])[:, :, 0]
+
+
+def _exact(x: np.ndarray, forms: np.ndarray, d: int, mode: str, rows=None) -> np.ndarray:
+    """The exact objective at every row of x, -inf at a degenerate row."""
+    *_, bad, _, fids = _fidelity_stack(x, forms, d, rows)
+    return np.where(bad, -math.inf, _exact_objective(fids, mode))
+
+
+# [M^T | K] of the gradient pullback, from (r0, r1, a r1, b r1, k00, k01, k03, k11)
+_PULLBACK = _pattern(
+    "r0 r1 a b k00 k01 k03 k11",
+    "r0 -a 0 -b k00 k01 0 k03",
+    "0 r1 0 0 k01 k11 -k03 0",
+    "0 b r0 -a 0 -k03 k00 k01",
+    "0 0 0 r1 k03 0 k01 k11",
+)
+# the sums of Re g_i^dag q_j that the derivatives in n0, n1 and gamma need, from G Y^T
+_PSUMS = _pattern("p0 p1 pr pi", "p0 0 0 0", "pr p1 pi 0", "0 0 p0 0", "-pi 0 pr p1").T
+# (k00, k01, k03, k11) as bilinear forms in those sums and the features (r0^2,
+# r0 r1, r0 r1 a, r0 r1 b, r1^2, r1^2 a, r1^2 b, r1^2 (a^2 + b^2)), with
+# r0 = 1/n0, r1 = 1/n1 and the last column holding the rest of k00
+_K = np.zeros((4, 8, 5))
+for _i, _j, _e, _c in (  # (sum, feature, entry, coefficient); k00 is entries 0 + 4
+    (0, 0, 0, -1.0), (1, 7, 0, -1.0), (2, 2, 4, 2.0), (3, 3, 4, -2.0),
+    (2, 1, 1, -1.0), (1, 5, 1, 1.0), (3, 1, 2, 1.0), (1, 6, 2, 1.0), (1, 4, 3, -1.0),
+):
+    _K[_i, _j, _e] = _c
+_K = _K.reshape(32, 5)
 
 
 def _search_objective(
-    x: np.ndarray, forms: np.ndarray, d: int, mode: str, sharpness: float = SMOOTH_SHARPNESS
+    x: np.ndarray, forms: np.ndarray, d: int, mode: str, sharpness: float = SMOOTH_SHARPNESS,
+    rows=None,
 ):
-    """The search's objective at raw parameters x: the negated smoothed
-    objective and its gradient, or (inf, zeros) for a degenerate draw.
-
-    max-min is smoothed by the log-sum-exp softmin of the given sharpness;
-    equal-fidelity-penalty needs no smoothing. With F_n = y^T R_n y, the
-    gradient in y is G = 2 sum_n w_n R_n y for the objective's weights w.
-    Read as 4 x d, like X and Y = M X, it pulls back to X as M^T G + K X: the
-    first term holds M fixed, and the symmetric 4 x 4 K carries the change of
-    (n0, n1, gamma) through the Gram matrix of X.
+    """The negated smoothed objective (k,) and its gradient (k, 4d) at each
+    row of x, or (inf, zeros) at a degenerate row; forms and rows as in
+    _fidelity_stack. max-min is smoothed by the softmin of the given
+    sharpness; equal-fidelity-penalty needs no smoothing. The gradient in y,
+    G = 2 sum_n w_n R_n y, pulls back to X as M^T G + K X, where the
+    symmetric 4 x 4 K carries the change of (n0, n1, gamma) through the Gram
+    matrix of X. Each 4 x 4 and 4 x 8 map is a coefficient stack times a
+    constant _pattern.
     """
-    try:
-        xm, ym, n0, n1, a, b = _gram_schmidt(x, d)
-    except DegenerateColumnsError:
-        return math.inf, np.zeros_like(x)
-    y = ym.ravel()
-    ry = forms @ y
-    fids = ry.dot(y)
+    xm, ym, r, ab, bad, ry, fids = _fidelity_stack(x, forms, d, rows)
+    k, add = len(xm), np.add.reduce
     if mode == "max_min":
-        lo = fids.min()
+        lo = np.minimum.reduce(fids, 1, keepdims=True)
         e = np.exp((lo - fids) * sharpness)
-        total = e.sum()
-        value = lo - math.log(total) / sharpness
-        gy = e.dot(ry) * (-2.0 / total)
+        total = add(e, 1, keepdims=True)
+        value = lo - np.log(total) / sharpness
+        e *= -2.0 / total
     else:
-        mean = fids.sum() / fids.size
-        dev = fids - mean
-        value = mean - PENALTY_WEIGHT * dev.dot(dev) / fids.size
-        gy = (1.0 - 2.0 * PENALTY_WEIGHT * dev).dot(ry) * (-2.0 / fids.size)
-    # Re and Im of g_k^dag q_j, with g_0, g_1 the gradient's complex columns
-    (p00, _, _, _), (p10, p11, p12, _), (_, _, p22, _), (p30, _, p32, p33) = (
-        gy.reshape(4, d).dot(ym.T).tolist()
-    )
-    # the value's derivatives in n0, n1 and gamma (tr + i ti is the one in gamma)
-    d_n0 = -(p00 + p22) / n0
-    d_n1 = -(p11 + p33) / n1
-    tr = -n0 * (p10 + p32) / n1
-    ti = -n0 * (p12 - p30) / n1
-    nn0 = n0 * n0
-    r0, r1 = 1.0 / n0, 1.0 / n1
-    k11 = d_n1 * r1
-    k00 = d_n0 * r0 - 2.0 * (tr * a - ti * b) / nn0 + k11 * (a * a + b * b)
-    k01 = tr / nn0 - k11 * a
-    k03 = -ti / nn0 - k11 * b
-    # [M^T | K] @ [G; X] in one product
-    mk = _rows4(
-        r0, -a * r1, 0.0, -b * r1,  k00, k01, 0.0, k03,
-        0.0, r1, 0.0, 0.0,  k01, k11, -k03, 0.0,
-        0.0, b * r1, r0, -a * r1,  0.0, -k03, k00, k01,
-        0.0, 0.0, 0.0, r1,  k03, 0.0, k01, k11,
-    )  # fmt: skip
-    return -value, mk.dot(np.concatenate((gy, x)).reshape(8, d)).ravel()
+        m = fids.shape[1]
+        value = add(fids, 1, keepdims=True) / m
+        dev = fids - value
+        value -= PENALTY_WEIGHT / m * add(dev * dev, 1, keepdims=True)
+        e = dev * (4.0 * PENALTY_WEIGHT / m) - 2.0 / m
+    gm = np.matmul(e[:, None, :], ry).reshape(k, 4, d)
+    p = np.matmul(gm, ym.swapaxes(1, 2)).reshape(k, 16) @ _PSUMS
+    r0r, r1r1 = r[:, :1] * r, r[:, 1:] * r[:, 1:]
+    feats = np.concatenate((r0r, r0r[:, 1:] * ab, r1r1, r1r1 * ab, r1r1 * add(ab * ab, 1, keepdims=True)), 1)
+    kk = (p[:, :, None] * feats[:, None, :]).reshape(k, 32) @ _K
+    kk[:, 0] += kk[:, 4]
+    coef = np.concatenate((r, ab * r[:, 1:], kk[:, :4]), 1)
+    grad = np.matmul((coef @ _PULLBACK).reshape(k, 4, 8), np.concatenate((gm, xm), axis=1)).reshape(k, -1)
+    value = -value[:, 0]
+    if bad.any():
+        value[bad], grad[bad] = math.inf, 0.0
+    return value, grad
 
 
 # ---------------------------------------------------------------------------
 # search
 
 
-def optimize(
-    input_set: InputSet,
-    cfg: OptimizationConfig,
-    _stream: tuple[int, ...] | None = None,
-    _extra_starts: Sequence[np.ndarray] = (),
-) -> OptimizationResult:
-    """Best 1->cfg.copies machine found for the set over random-restart BFGS.
+def _starts(stream: tuple[int, ...], count: int, size: int) -> np.ndarray:
+    """count normal draws of size raw parameters, draw r from the stream (*stream, r)."""
+    return np.array([np.random.default_rng([*stream, r]).standard_normal(size) for r in range(count)])
 
-    The starts are _extra_starts, then cfg.restarts normal draws, draw r from
-    the stream (*_stream, r) with _stream defaulting to (cfg.seed,). Each start
-    gets one descent on the smoothed objective; a degenerate draw evaluates to
-    +inf and is dropped. A start wins when its exact objective beats the best
-    so far by more than 1e-9, so of tied starts the first wins. The winner is
-    polished: one more descent, or for max-min one per stage of
-    POLISH_SHARPNESS.
+
+def _search(forms: np.ndarray, d: int, cfg: OptimizationConfig, starts: np.ndarray):
+    """Best raw parameters for each of p problems (forms stacked, starts
+    (p, s, 4d)), their exact objectives and how many starts reached each
+    winner's basin. One descent explores every start on the smoothed
+    objective; a degenerate start evaluates to +inf and is dropped. A start
+    wins its problem when its exact objective beats the best so far by more
+    than 1e-9, so of tied starts the first wins. One more descent polishes
+    the winners, or for max-min one per stage of POLISH_SHARPNESS.
     """
-    copies = cfg.copies
-    psis = np.column_stack(input_set.states())
-    if cfg.symmetric:
-        embed = _sym_embedding(copies, cfg.ancilla_dim)
-    else:
-        embed = np.eye(2**copies * cfg.ancilla_dim)
-    d = embed.shape[1]
-    forms = _copy_forms(psis, embed, copies, cfg.ancilla_dim)
-    neg_smooth = functools.partial(_search_objective, forms=forms, d=d, mode=cfg.mode)
+    p, s, n = starts.shape
+    shared = forms[0] if p == 1 else forms
 
-    def exact(x):
-        return _exact_objective(_fidelities(forms, _columns_from_params(x, d)), cfg.mode)
+    def rows(idx, width):
+        return None if p == 1 else (*np.divmod(idx, width), width)
 
-    stream = (cfg.seed,) if _stream is None else _stream
-    starts = [np.asarray(x0, dtype=float) for x0 in _extra_starts]
-    for r in range(cfg.restarts):
-        starts.append(np.random.default_rng([*stream, r]).standard_normal(4 * d))
-    best_x = None
-    best_val = -math.inf
-    values = []
-    for x0 in starts:
-        # exploration restarts only need to identify the best basin; the
-        # winner is polished to full precision afterwards
-        res = minimize(neg_smooth, x0, ftol=cfg.tol)
-        if not math.isfinite(res.fun):
-            continue
-        val = exact(res.x)
-        values.append(val)
-        if val > best_val + 1e-9:
-            best_x, best_val = res.x, val
-    if best_x is None:
+    def objective(width, sharpness=SMOOTH_SHARPNESS):
+        return lambda x, idx: _search_objective(x, shared, d, cfg.mode, sharpness, rows(idx, width))
+
+    def exact(x, width):
+        return _exact(x, shared, d, cfg.mode, rows(np.arange(len(x)), width))
+
+    # exploration restarts only need to identify the best basin; the winner
+    # is polished to full precision afterwards
+    res = minimize(objective(s), starts.reshape(p * s, n), ftol=cfg.tol)
+    values = np.where(np.isfinite(res.fun), exact(res.x, s), -math.inf).reshape(p, s)
+    best_val, pick = np.full(p, -math.inf), np.zeros(p, int)
+    for r in range(s):
+        wins = values[:, r] > best_val + 1e-9
+        best_val[wins], pick[wins] = values[wins, r], r
+    if not np.isfinite(best_val).all():
         raise RuntimeError("all restarts failed (degenerate parameter draws)")
     # restarts whose exploration value reached the winning basin
-    hits = sum(1 for v in values if v >= best_val - 1e-4)
+    hits = (values >= best_val[:, None] - 1e-4).sum(1)
     # max-min polishes through ever sharper softmins, each stage from the
     # last: a softmin's maximizer keeps a spread of order 1 / sharpness, and
     # so a value below the optimum, wherever the optimal multipliers on the
     # fidelities are unequal
-    x = best_x
+    best_x = x = res.x.reshape(p, s, n)[np.arange(p), pick]
     for sharpness in POLISH_SHARPNESS if cfg.mode == "max_min" else (SMOOTH_SHARPNESS,):
-        x = minimize(functools.partial(neg_smooth, sharpness=sharpness), x, ftol=1e-15, gtol=1e-12).x
-        val = exact(x)
-        if val >= best_val:
-            best_x, best_val = x, val
-    q = _columns_from_params(best_x, d)
-    fids = _fidelities(forms, q).reshape(copies, -1)
+        x = minimize(objective(1, sharpness), x, ftol=1e-15, gtol=1e-12).x
+        val = exact(x, 1)
+        better = val >= best_val
+        best_x, best_val = np.where(better[:, None], x, best_x), np.where(better, val, best_val)
+    return best_x, best_val, hits
+
+
+def optimize(input_set: InputSet, cfg: OptimizationConfig) -> OptimizationResult:
+    """Best 1->cfg.copies machine found for the set over random-restart BFGS:
+    `_search` from cfg.restarts normal draws, draw r from the stream
+    (cfg.seed, r)."""
+    copies = cfg.copies
+    embed = _sym_embedding(copies, cfg.ancilla_dim) if cfg.symmetric else np.eye(2**copies * cfg.ancilla_dim)
+    d = embed.shape[1]
+    forms = _copy_forms(np.column_stack(input_set.states()), embed, copies, cfg.ancilla_dim)
+    best_x, _, hits = _search(forms[None], d, cfg, _starts((cfg.seed,), cfg.restarts, 4 * d)[None])
+    q = _columns_from_params(best_x[0], d)
+    fids = _fidelity_stack(best_x, forms, d)[-1].reshape(copies, -1)
     per_state = tuple(
         (s, k, float(fids[k, s])) for s in range(len(input_set)) for k in range(copies)
     )
     return OptimizationResult(
         best=CloneIsometry(embed @ q, copies=copies, ancilla_dim=cfg.ancilla_dim),
         per_state_fidelities=per_state,
-        objective=_exact_objective(fids, cfg.mode),
+        objective=float(_exact_objective(fids.ravel(), cfg.mode)),
         spread=float(fids.max() - fids.min()),
-        restarts_hitting_best=hits,
+        restarts_hitting_best=int(hits[0]),
         seed=cfg.seed,
-        raw_params=tuple(float(v) for v in best_x),
     )
 
 
@@ -465,10 +515,12 @@ def optimize(
 # contour scan over trio phases
 
 
-# the per-orbit search of the scan: the equal-fidelity/symmetric conditions with
-# a cheap restart schedule (warm starts from the orbits solved just before
-# cover the rest)
-SCAN_CONFIG = OptimizationConfig(restarts=6, tol=1e-3, mode="equal_fidelity_penalty", symmetric=True)
+# the per-orbit search of the scan: the equal-fidelity/symmetric conditions
+# with a cheap schedule of 8 random starts per orbit
+SCAN_CONFIG = OptimizationConfig(restarts=8, tol=1e-3, mode="equal_fidelity_penalty", symmetric=True)
+# orbits solved together, in one exploration and one polish descent; a scan
+# reports, and a budgeted scan can stop, only between batches
+SCAN_BATCH = 32
 
 
 def _orbit_key(i: int, j: int, resolution: int) -> tuple[int, ...]:
@@ -485,31 +537,39 @@ def scan_equator(resolution: int, seed: int = 0, progress=None) -> ScanGrid:
     of phases in [0, 360) degrees.
 
     One search runs per orbit of the trio-phase symmetry group, at its first
-    cell in row-major order; every other cell of the orbit copies that value,
-    so the grid is exactly symmetric. Each search is SCAN_CONFIG with this
-    seed, on its own pseudo-random stream keyed on (seed, index) of the
-    orbit's first cell. `progress(i, j, value)` still fires once per cell in
-    row-major order."""
+    cell in row-major order, and every other cell of the orbit copies its
+    value, so the grid is exactly symmetric. Each search is SCAN_CONFIG with
+    this seed, its starts drawn from the stream (seed, index of that cell).
+    The orbits are solved SCAN_BATCH at a time by one `_search`, in row-major
+    order of their first cells. `progress(i, j, value)` fires once per cell in
+    row-major order, as soon as the cell's orbit is solved."""
     if resolution < 8:
         raise ValueError("resolution must be >= 8")
     cfg = replace(SCAN_CONFIG, seed=seed)
     phis = np.linspace(0.0, TWO_PI, resolution, endpoint=False)
-    grid = np.zeros((resolution, resolution))
+    keys = [_orbit_key(i, j, resolution) for i in range(resolution) for j in range(resolution)]
+    # the first cell of each orbit, in row-major order
+    firsts = sorted({key: c for c, key in reversed(list(enumerate(keys)))}.values())
+    embed = _sym_embedding(2, 1)
+    d = embed.shape[1]
+    grid = np.zeros(resolution * resolution)
     solved: dict[tuple[int, ...], float] = {}
-    warm: list[np.ndarray] = []  # raw parameters of the last two orbits solved
-    for i, p2 in enumerate(phis):
-        for j, p3 in enumerate(phis):
-            key = _orbit_key(i, j, resolution)
-            if key not in solved:
-                pts = tuple(BlochPoint(math.pi / 2.0, p) for p in (0.0, p2, p3))
-                trio = InputSet(f"trio({math.degrees(p2):.1f},{math.degrees(p3):.1f})", pts)
-                res = optimize(trio, cfg, _stream=(seed, i * resolution + j), _extra_starts=warm)
-                solved[key] = res.objective
-                warm = [np.asarray(res.raw_params), *warm[:1]]
-            grid[i, j] = solved[key]
+    for b in range(0, len(firsts), SCAN_BATCH):
+        batch = firsts[b : b + SCAN_BATCH]
+        forms = np.array([
+            _copy_forms(np.column_stack([bloch_to_state(BlochPoint(math.pi / 2.0, phis[k]))
+                                         for k in (0, *divmod(c, resolution))]), embed, 2, 1)
+            for c in batch
+        ])  # fmt: skip
+        starts = np.array([_starts((seed, c), cfg.restarts, 4 * d) for c in batch])
+        solved.update(zip((keys[c] for c in batch), _search(forms, d, cfg, starts)[1].tolist()))
+        # every cell before the next batch's first orbit now has its value
+        end = firsts[b + SCAN_BATCH] if b + SCAN_BATCH < len(firsts) else grid.size
+        for c in range(batch[0], end):
+            grid[c] = solved[keys[c]]
             if progress is not None:
-                progress(i, j, grid[i, j])
-    return ScanGrid(resolution=resolution, fidelity=grid)
+                progress(*divmod(c, resolution), grid[c])
+    return ScanGrid(resolution=resolution, fidelity=grid.reshape(resolution, resolution))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from clonebench.optimize import (
     scan_csv,
     scan_equator,
 )
-from clonebench.qlinalg import DegenerateColumnsError
+from clonebench.qlinalg import DegenerateColumnsError, sym_basis
 from clonebench.states import (
     TWO_PI,
     BlochPoint,
@@ -92,6 +92,12 @@ def test_parameterize_rejects_wrong_size():
         optimize_module._columns_from_params(np.zeros(7), 4)
 
 
+def fidelities(forms, q):
+    """The fidelities of the complex columns q, through y = [Re q0, Re q1, Im q0, Im q1]."""
+    y = np.concatenate([q.T.real, q.T.imag]).ravel()
+    return (y @ forms).reshape(-1, y.size) @ y
+
+
 def raw_params(c0, c1):
     """Raw search parameters of the complex raw columns c0 and c1."""
     z = np.concatenate([c0, c1])
@@ -152,9 +158,9 @@ def test_degenerate_draws_evaluate_to_inf(c0, c1):
     with pytest.raises(DegenerateColumnsError):
         optimize_module._columns_from_params(x, 3)
     for mode in ("max_min", "equal_fidelity_penalty"):
-        value, grad = optimize_module._search_objective(x, forms, 3, mode)
-        assert value == math.inf
-        np.testing.assert_array_equal(grad, np.zeros(12))
+        value, grad = optimize_module._search_objective(x[None], forms, 3, mode)
+        np.testing.assert_array_equal(value, [math.inf])
+        np.testing.assert_array_equal(grad, np.zeros((1, 12)))
 
 
 def smoothed(fids, mode, sharpness):
@@ -185,12 +191,13 @@ def test_search_objective_is_the_smoothed_objective_of_the_fidelities(
     forms = optimize_module._copy_forms(psis, embed, 2, ancilla_dim)
     rng = np.random.default_rng(11)
     for sharpness in (optimize_module.SMOOTH_SHARPNESS, 5e4):
-        for _ in range(20):
-            x = rng.standard_normal(4 * d) * rng.uniform(0.1, 10.0)
-            fids = optimize_module._fidelities(forms, optimize_module._columns_from_params(x, d))
-            value, grad = optimize_module._search_objective(x, forms, d, mode, sharpness)
-            assert -value == pytest.approx(smoothed(fids, mode, sharpness), rel=0.0, abs=1e-12)
-            assert grad.shape == x.shape
+        # one batch of 20 rows, each checked against its own fidelities
+        x = rng.standard_normal((20, 4 * d)) * rng.uniform(0.1, 10.0, (20, 1))
+        value, grad = optimize_module._search_objective(x, forms, d, mode, sharpness)
+        assert value.shape == (20,) and grad.shape == x.shape
+        for row, v in zip(x, value):
+            fids = fidelities(forms, optimize_module._columns_from_params(row, d))
+            assert -v == pytest.approx(smoothed(fids, mode, sharpness), rel=0.0, abs=1e-12)
 
 
 # ids: "<ancilla_dim>-<symmetric>", suffixed with the copy count past two
@@ -222,7 +229,7 @@ def test_copy_forms_match_the_density_matrix_oracle(symmetric, ancilla_dim, copi
     for _ in range(5):
         x = rng.standard_normal(4 * d_eff)
         q = optimize_module._columns_from_params(x, d_eff)
-        fids = optimize_module._fidelities(forms, q)
+        fids = fidelities(forms, q)
         v = CloneIsometry(embed @ q, copies=copies, ancilla_dim=ancilla_dim)
         oracle = [copy_fidelity(v, p, copy) for copy in range(copies) for p in points]
         np.testing.assert_allclose(fids, oracle, rtol=0.0, atol=1e-12)
@@ -239,7 +246,7 @@ def test_n_clone_forms_match_the_closed_form(n):
         closed = [n_clone_fidelity(v, phi) for phi in phases]
         # every copy of a symmetric machine has the closed-form fidelity
         np.testing.assert_allclose(
-            optimize_module._fidelities(forms, symmetric_coefficients(v)).reshape(n, -1),
+            fidelities(forms, symmetric_coefficients(v)).reshape(n, -1),
             np.tile(closed, (n, 1)),
             rtol=0.0,
             atol=1e-12,
@@ -254,6 +261,44 @@ def rosenbrock(x):
     return value, grad
 
 
+def batched(*funs):
+    """The descent objective of a batch whose member i minimizes funs[i],
+    a function of one point returning (value, gradient)."""
+
+    def fun(x, idx):
+        values, grads = zip(*(funs[i](row) for i, row in zip(idx, x)))
+        return np.array(values, dtype=float), np.array(grads, dtype=float)
+
+    return fun
+
+
+def descend(fun, x0, **kwargs):
+    """`_descend` on fun alone, as a one-member batch, checked to give the same
+    result bit for bit as member 1 of a batch beside two unrelated members: a
+    convex quadratic from elsewhere, and a start where the value is not finite.
+    Returns that member's x, fun, nit, nfev and whether it converged."""
+    x0 = np.asarray(x0, dtype=float)
+    center = np.linspace(-1.0, 1.0, x0.size)
+
+    def quadratic(x):
+        return (x - center) @ (x - center), 2.0 * (x - center)
+
+    def nowhere(x):
+        return math.inf, np.zeros_like(x)
+
+    alone = optimize_module._descend(batched(fun), x0[None], **kwargs)
+    starts = np.stack([np.full(x0.size, 3.0), x0, x0])
+    beside = optimize_module._descend(batched(quadratic, fun, nowhere), starts, **kwargs)
+    assert beside.x[1].tobytes() == alone.x[0].tobytes()
+    for field in ("fun", "nit", "nfev", "converged"):
+        assert getattr(beside, field)[1] == getattr(alone, field)[0], field
+    assert beside.converged[0] and not beside.converged[2]
+    assert not beside.success and alone.success == alone.converged[0]
+    return SimpleNamespace(
+        x=alone.x[0], fun=alone.fun[0], nit=alone.nit[0], nfev=alone.nfev[0], success=alone.converged[0]
+    )
+
+
 def test_descend_reaches_the_minimizer_of_a_convex_quadratic():
     rng = np.random.default_rng(5)
     m = rng.standard_normal((12, 12))
@@ -264,13 +309,13 @@ def test_descend_reaches_the_minimizer_of_a_convex_quadratic():
         d = x - center
         return 0.5 * d @ a @ d, a @ d
 
-    res = optimize_module._descend(fun, rng.standard_normal(12), ftol=1e-15, gtol=1e-12)
+    res = descend(fun, rng.standard_normal(12), ftol=1e-15, gtol=1e-12)
     assert res.success
     np.testing.assert_allclose(res.x, center, rtol=0.0, atol=1e-8)
 
 
 def test_descend_solves_rosenbrock_well_under_the_cap():
-    res = optimize_module._descend(rosenbrock, np.array([-1.2, 1.0]), ftol=1e-15, gtol=1e-10)
+    res = descend(rosenbrock, np.array([-1.2, 1.0]), ftol=1e-15, gtol=1e-10)
     assert res.success
     np.testing.assert_allclose(res.x, [1.0, 1.0], rtol=0.0, atol=1e-6)
     assert res.nit < 100 < optimize_module.MAX_ITERS
@@ -278,7 +323,7 @@ def test_descend_solves_rosenbrock_well_under_the_cap():
 
 def test_descend_stops_at_a_non_finite_start():
     x0 = np.array([0.5, -1.0])
-    res = optimize_module._descend(lambda x: (math.inf, np.zeros_like(x)), x0)
+    res = descend(lambda x: (math.inf, np.zeros_like(x)), x0)
     assert not res.success
     assert res.nfev == 1 and res.nit == 0
     np.testing.assert_array_equal(res.x, x0)
@@ -288,7 +333,7 @@ def test_descend_fails_when_the_step_rounds_away():
     # the reported gradient points uphill, so the line search shrinks the
     # step until x + t p rounds to x; that null step passes the Armijo test
     # but must not count as convergence
-    res = optimize_module._descend(lambda x: (x @ x, -2.0 * x), np.array([1.0, -2.0]))
+    res = descend(lambda x: (x @ x, -2.0 * x), np.array([1.0, -2.0]))
     assert not res.success
     assert res.nit == 0
     np.testing.assert_array_equal(res.x, [1.0, -2.0])
@@ -298,7 +343,7 @@ def test_descend_fails_when_no_step_lowers_the_value():
     # the reported gradient points uphill at the start, where the value is 0,
     # so every trial step raises the value until the step length underflows
     x0 = np.array([1.0, -2.0])
-    res = optimize_module._descend(lambda x: ((x - x0) @ (x - x0), x0.copy()), x0)
+    res = descend(lambda x: ((x - x0) @ (x - x0), x0.copy()), x0)
     assert not res.success
     assert res.nit == 0 and res.fun == 0.0
     np.testing.assert_array_equal(res.x, x0)
@@ -317,7 +362,7 @@ def test_descend_backs_off_where_the_objective_is_not_finite(outside):
             return outside, np.zeros_like(x)
         return (x - center) @ (x - center), 2.0 * (x - center)
 
-    res = optimize_module._descend(fun, np.zeros(3), ftol=1e-15, gtol=1e-10)
+    res = descend(fun, np.zeros(3), ftol=1e-15, gtol=1e-10)
     assert res.success
     np.testing.assert_allclose(res.x, center, rtol=0.0, atol=1e-8)
 
@@ -332,27 +377,30 @@ def test_descend_skips_updates_without_curvature():
         value = np.where(inside, 0.5 * x * x, np.abs(x) - 0.5)
         return weights @ value, weights * np.where(inside, x, np.sign(x))
 
-    res = optimize_module._descend(fun, np.array([10.0, 10.0]), ftol=1e-15, gtol=1e-10)
+    res = descend(fun, np.array([10.0, 10.0]), ftol=1e-15, gtol=1e-10)
     assert res.success
     np.testing.assert_allclose(res.x, [0.0, 0.0], rtol=0.0, atol=1e-8)
     assert res.nit < 50
 
 
 def test_descend_is_deterministic():
-    runs = [optimize_module._descend(rosenbrock, np.array([-1.2, 1.0])) for _ in range(2)]
+    runs = [descend(rosenbrock, np.array([-1.2, 1.0])) for _ in range(2)]
     assert runs[0].x.tobytes() == runs[1].x.tobytes()
-    assert runs[0][1:] == runs[1][1:]
+    assert (runs[0].fun, runs[0].nit, runs[0].nfev, runs[0].success) == (
+        runs[1].fun, runs[1].nit, runs[1].nfev, runs[1].success
+    )
 
 
 @pytest.fixture
 def recorded_minimize(monkeypatch):
-    """Records (objective, result) of every local search the driver runs."""
+    """Records (objective, starts, tolerances, result) of every batched
+    descent the searches run."""
     calls = []
     minimize = optimize_module.minimize
 
     def recording(fun, x0, **kwargs):
         res = minimize(fun, x0, **kwargs)
-        calls.append((fun, res))
+        calls.append(SimpleNamespace(fun=fun, x0=x0, kwargs=kwargs, res=res))
         return res
 
     monkeypatch.setattr(optimize_module, "minimize", recording)
@@ -361,15 +409,16 @@ def recorded_minimize(monkeypatch):
 
 def assert_search_gradient_matches_central_differences(recorded_minimize, input_set, cfg):
     optimize(input_set, cfg)
-    fun, res = recorded_minimize[0]
+    fun = recorded_minimize[0].fun
     rng = np.random.default_rng(3)
     h = 1e-6
-    for _ in range(3):
-        x = rng.standard_normal(res.x.size)
-        _, grad = fun(x)
-        steps = np.eye(x.size) * h
-        central = [(fun(x + e)[0] - fun(x - e)[0]) / (2.0 * h) for e in steps]
-        np.testing.assert_allclose(grad, central, rtol=0.0, atol=1e-7)
+    # three members in one batch
+    x = rng.standard_normal((3, recorded_minimize[0].x0.shape[1]))
+    idx = np.arange(3)
+    _, grad = fun(x, idx)
+    steps = np.eye(x.shape[1]) * h
+    central = np.array([(fun(x + e, idx)[0] - fun(x - e, idx)[0]) / (2.0 * h) for e in steps]).T
+    np.testing.assert_allclose(grad, central, rtol=0.0, atol=1e-7)
 
 
 @pytest.mark.parametrize("mode", ["max_min", "equal_fidelity_penalty"])
@@ -393,10 +442,75 @@ def test_search_gradient_matches_central_differences_in_the_symmetric_subspace(
 
 
 def test_scan_exploration_restarts_converge(recorded_minimize):
-    optimize(equatorial_trio(), SCAN_CONFIG)
-    # one local search per start, then one polish of the winner
-    assert len(recorded_minimize) == SCAN_CONFIG.restarts + 1
-    assert all(res.success for _, res in recorded_minimize[: SCAN_CONFIG.restarts])
+    scan_equator(9)
+    # the 12 orbits form one batch: one descent explores all their starts,
+    # and one polishes the 12 winners
+    explore, polish = recorded_minimize
+    assert explore.x0.shape == (12 * SCAN_CONFIG.restarts, 12) and polish.x0.shape == (12, 12)
+    assert explore.res.converged.all() and explore.res.success
+
+
+def test_stacked_kernel_gradient_matches_central_differences_beside_a_degenerate_member():
+    forms = optimize_module._copy_forms(
+        np.column_stack(equatorial_trio().states()), optimize_module._sym_embedding(2, 1), 2, 1
+    )
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((4, 12))
+    x[2, [0, 1, 2, 6, 7, 8]] = 0.0  # member 2's first raw column is zero
+    live = [0, 1, 3]
+    h = 1e-6
+    for mode in ("max_min", "equal_fidelity_penalty"):
+        value, grad = optimize_module._search_objective(x, forms, 3, mode)
+        assert value[2] == math.inf
+        np.testing.assert_array_equal(grad[2], np.zeros(12))
+        # the other members are evaluated bit for bit as in a batch without it
+        alone, alone_grad = optimize_module._search_objective(x[live], forms, 3, mode)
+        assert value[live].tobytes() == alone.tobytes()
+        assert grad[live].tobytes() == alone_grad.tobytes()
+        central = np.array([
+            (optimize_module._search_objective(x[live] + e, forms, 3, mode)[0]
+             - optimize_module._search_objective(x[live] - e, forms, 3, mode)[0]) / (2.0 * h)
+            for e in np.eye(12) * h
+        ]).T
+        np.testing.assert_allclose(grad[live], central, rtol=0.0, atol=1e-7)
+
+
+def test_a_stack_of_problems_evaluates_each_row_on_its_own_forms():
+    embed = optimize_module._sym_embedding(2, 1)
+    # three trios, the last with two coinciding states
+    sets = [equatorial_trio()] + [
+        custom([(math.pi / 2.0, phi) for phi in phis]) for phis in ((0.0, 0.4, 2.5), (0.0, 1.1, 1.1))
+    ]
+    forms = np.array([optimize_module._copy_forms(np.column_stack(s.states()), embed, 2, 1) for s in sets])
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((6, 12))
+    problem, slot = np.divmod(np.arange(6), 2)
+    for mode in ("max_min", "equal_fidelity_penalty"):
+        value, grad = optimize_module._search_objective(x, forms, 3, mode, rows=(problem, slot, 2))
+        for i in range(6):
+            one, one_grad = optimize_module._search_objective(x[i : i + 1], forms[problem[i]], 3, mode)
+            np.testing.assert_allclose(value[i], one[0], rtol=0.0, atol=1e-14)
+            np.testing.assert_allclose(grad[i], one_grad[0], rtol=0.0, atol=1e-13)
+        # rows 1, 2 and 4 have left the batch: the rest go through the padded layout
+        left = [0, 3, 5]
+        part, part_grad = optimize_module._search_objective(
+            x[left], forms, 3, mode, rows=(problem[left], slot[left], 2)
+        )
+        assert part.tobytes() == value[left].tobytes()
+        assert part_grad.tobytes() == grad[left].tobytes()
+
+
+@pytest.mark.parametrize("call", [0, 1], ids=["explore", "polish"])
+def test_a_scan_batch_member_matches_its_one_member_batch(recorded_minimize, call):
+    # on the scan's own trio problems, batching changes only speed
+    scan_equator(9)
+    rec = recorded_minimize[call]
+    for i in range(len(rec.x0)):
+        one = optimize_module._descend(lambda x, idx: rec.fun(x, idx + i), rec.x0[i : i + 1], **rec.kwargs)
+        np.testing.assert_allclose(one.x[0], rec.res.x[i], rtol=0.0, atol=1e-10)
+        assert (one.nfev[0], one.nit[0], one.converged[0]) == (
+            rec.res.nfev[i], rec.res.nit[i], rec.res.converged[i]
+        )
 
 
 @pytest.mark.slow
@@ -412,7 +526,7 @@ def test_local_searches_stop_far_below_the_iteration_cap(recorded_minimize, sear
     # the descent's cap is 15000 iterations; the hardest searches, 1->8 and
     # 64 parameters, converge well inside 600
     search()
-    assert max(res.nit for _, res in recorded_minimize) < 600
+    assert max(rec.res.nit.max() for rec in recorded_minimize) < 600
 
 
 def test_optimize_trio_small_budget():
@@ -438,24 +552,31 @@ def test_optimize_is_deterministic():
     a = optimize(equatorial_trio(), SMALL)
     b = optimize(equatorial_trio(), SMALL)
     assert a.objective == b.objective
-    assert a.raw_params == b.raw_params
+    assert a.best.matrix.tobytes() == b.best.matrix.tobytes()
 
 
 def test_the_first_of_tied_starts_wins(monkeypatch):
     # doubling the raw parameters leaves the columns, and so every fidelity,
     # bit-identical: the two starts tie exactly
-    x = np.asarray(optimize(equatorial_trio(), SMALL).raw_params)
-    objectives = []
+    embed = optimize_module._sym_embedding(2, 1)
+    forms = optimize_module._copy_forms(np.column_stack(equatorial_trio().states()), embed, 2, 1)[None]
+    x = optimize_module._search(forms, 3, SMALL, rng_starts(SMALL.restarts))[0][0]
+    values = []
 
     def stay_put(fun, x0, **kwargs):
-        return SimpleNamespace(x=x0, fun=fun(x0)[0])
+        return SimpleNamespace(x=x0, fun=fun(x0, np.arange(len(x0)))[0])
 
     monkeypatch.setattr(optimize_module, "minimize", stay_put)
     for first, second in ((x, 2.0 * x), (2.0 * x, x)):
-        res = optimize(equatorial_trio(), SMALL, _extra_starts=[first, second])
-        assert res.raw_params == tuple(first.tolist())
-        objectives.append(res.objective)
-    assert objectives[0] == objectives[1]
+        best_x, best_val, _ = optimize_module._search(forms, 3, SMALL, np.array([[first, second]]))
+        assert best_x[0].tobytes() == first.tobytes()
+        values.append(best_val[0])
+    assert values[0] == values[1]
+
+
+def rng_starts(count):
+    """The starts `optimize` draws for the symmetric 1->2 search with seed 0."""
+    return np.array([[np.random.default_rng([0, r]).standard_normal(12) for r in range(count)]])
 
 
 def test_optimize_seed_changes_search_path():
@@ -473,8 +594,8 @@ def test_optimize_n_small_budget():
     # one fidelity per (state, copy), and the machine's coefficients are the
     # columns the search found, to the two roundings of reading them back
     assert len(res.per_state_fidelities) == 3 * 3
-    q = optimize_module._columns_from_params(np.asarray(res.raw_params), 4)
-    np.testing.assert_allclose(symmetric_coefficients(res.best), q, rtol=0.0, atol=2.3e-16)
+    q = symmetric_coefficients(res.best)
+    np.testing.assert_allclose(sym_basis(3) @ q, res.best.matrix, rtol=0.0, atol=1e-15)
 
 
 def test_optimize_n_range():
@@ -500,7 +621,8 @@ def test_degenerate_cells_are_those_with_coinciding_states(r):
 
 
 def test_scan_config_caps_the_budget():
-    assert SCAN_CONFIG.restarts <= 6
+    # 8 descents per orbit, as many as 6 random and 2 warm starts made before
+    assert SCAN_CONFIG.restarts <= 8
     assert SCAN_CONFIG.mode == "equal_fidelity_penalty"
     assert SCAN_CONFIG.symmetric
 
@@ -562,29 +684,34 @@ def test_scan_grid_is_exactly_symmetric(scan8):
 
 @pytest.fixture
 def fake_search(monkeypatch):
-    """Replaces the search the scan calls with one that records its calls."""
+    """Replaces the scan's batch search with one that records the starts of
+    each batch and numbers the orbits 1, 2, ... in the order given."""
     calls = []
 
-    def fake(input_set, cfg, _stream=None, _extra_starts=()):
-        calls.append((_stream, len(_extra_starts)))
-        return SimpleNamespace(objective=float(len(calls)), raw_params=(0.0,) * 12)
+    def fake(forms, d, cfg, starts):
+        assert len(forms) == len(starts) <= optimize_module.SCAN_BATCH
+        solved = sum(len(s) for s in calls)
+        calls.append(starts)
+        return None, np.arange(solved + 1.0, solved + len(starts) + 1.0), None
 
-    monkeypatch.setattr(optimize_module, "optimize", fake)
+    monkeypatch.setattr(optimize_module, "_search", fake)
     return calls
 
 
-@pytest.mark.parametrize("resolution, orbits", [(8, 10), (9, 12)])
+@pytest.mark.parametrize("resolution, orbits", [(8, 10), (9, 12), (24, 61)])
 def test_scan_searches_once_per_orbit(fake_search, resolution, orbits):
-    grid = scan_equator(resolution)
-    assert len(fake_search) == orbits
-    # each orbit is searched at its first cell in row-major order, with that
-    # cell's stream and warm starts from the two orbits solved before it
+    grid = scan_equator(resolution, seed=3)
+    starts = np.concatenate(fake_search)
+    assert len(starts) == orbits
+    # each orbit is searched at its first cell in row-major order, with 8
+    # starts from that cell's stream (seed, cell index, r)
     firsts = {}
     for i in range(resolution):
         for j in range(resolution):
             firsts.setdefault(grid.fidelity[i, j], i * resolution + j)
-    assert [stream for stream, _ in fake_search] == [(0, firsts[k + 1.0]) for k in range(orbits)]
-    assert [warm for _, warm in fake_search] == [0, 1] + [2] * (orbits - 2)
+    for k in range(orbits):
+        expected = [np.random.default_rng([3, firsts[k + 1.0], r]).standard_normal(12) for r in range(8)]
+        assert starts[k].tobytes() == np.array(expected).tobytes()
 
 
 def test_scan_progress_fires_per_cell_in_row_major_order(fake_search):
@@ -592,3 +719,16 @@ def test_scan_progress_fires_per_cell_in_row_major_order(fake_search):
     grid = scan_equator(9, progress=lambda i, j, value: seen.append((i, j, value)))
     assert [(i, j) for i, j, _ in seen] == [(i, j) for i in range(9) for j in range(9)]
     assert [value for _, _, value in seen] == grid.fidelity.ravel().tolist()
+    # the 12 orbits of resolution 9 are one batch
+    assert len(fake_search) == 1
+
+
+def test_scan_reports_each_cell_as_soon_as_its_orbit_is_solved(fake_search):
+    # at resolution 24 the 61 orbits take several batches; a cell is reported
+    # after the batch that solves its orbit and before the next batch starts
+    batches_at_report = []
+    grid = scan_equator(24, progress=lambda i, j, value: batches_at_report.append(len(fake_search)))
+    assert len(fake_search) == math.ceil(61 / optimize_module.SCAN_BATCH) > 1
+    solved_by = np.ceil(grid.fidelity.ravel() / optimize_module.SCAN_BATCH)
+    first_new = np.maximum.accumulate(solved_by)
+    assert batches_at_report == first_new.tolist()
