@@ -84,75 +84,82 @@ def _descend(fun, x0, ftol: float = 1e-6, gtol: float = 1e-5) -> _Descent:
     has_h, nit, p, t, slope = np.zeros(k, bool), np.zeros(k, int), np.zeros_like(x), np.ones(k), np.zeros(k)
     ok = np.isfinite(f) & (np.maximum.reduce(np.abs(g), 1) <= gtol)  # members that converged
     done = ok | ~np.isfinite(f)
-    fresh, rounds = ~done, 0  # members at the top of an iteration, and rounds made
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while True:
-            if count(done):
-                # write the finished members out and drop them from the batch
-                gone = idx[done]
-                out.x[gone], out.fun[gone], out.nit[gone] = x[done], f[done], nit[done]
-                out.nfev[gone], out.converged[gone] = rounds + 1, ok[done]
-                keep = ~done
-                idx, x, f, g, h, has_h, nit, p, t, slope, fresh = (
-                    a[keep] for a in (idx, x, f, g, h, has_h, nit, p, t, slope, fresh)
-                )
-                if not idx.size:
-                    break
-            if count(fresh):
-                # a new iteration: -H g, or -g/|g| before the first update
-                new = -np.matmul(h, g[:, :, None])[:, :, 0]
+    fresh, rounds, all_h = ~done, 0, False  # members at the top of an iteration, rounds made
+    while True:
+        if count(done):
+            # write the finished members out and drop them from the batch
+            gone = idx[done]
+            out.x[gone], out.fun[gone], out.nit[gone] = x[done], f[done], nit[done]
+            out.nfev[gone], out.converged[gone] = rounds + 1, ok[done]
+            keep = ~done
+            idx, x, f, g, h, has_h, nit, p, t, slope, fresh = (
+                a[keep] for a in (idx, x, f, g, h, has_h, nit, p, t, slope, fresh)
+            )
+            if not idx.size:
+                break
+        fresh_count = count(fresh)
+        if fresh_count:
+            # a new iteration: -H g, or -g/|g| before the first update
+            new = -np.matmul(h, g[:, :, None])[:, :, 0]
+            if not all_h:
                 new /= where(has_h, 1.0, np.sqrt(add(g * g, 1)))[:, None]
-                new_slope = add(g * new, 1)
-                uphill = ~(new_slope < 0.0)
-                if count(uphill):
-                    new[uphill] = -g[uphill]
-                    new_slope[uphill] = -add(g[uphill] * g[uphill], 1)
-                if count(fresh) == len(idx):
-                    p, slope, t = new, new_slope, np.ones(len(idx))
-                else:
-                    p, slope = where(fresh[:, None], new, p), where(fresh, new_slope, slope)
-                    t = where(fresh, 1.0, t)
-            x_new = x + t[:, None] * p
-            f_new, g_new = fun(x_new, idx)
-            rounds += 1
-            s, y = x_new - x, g_new - g
-            finite = np.isfinite(f_new)
-            armijo = finite & (f_new <= f + ARMIJO_C1 * t * slope)
-            accept = armijo & (f_new < f)
-            failed = False
-            if count(accept) < len(idx):
-                # the test passes also when x_new rounds to x; that is no step
-                accept |= armijo & (f_new == f) & s.any(1)
-                # the minimizer of the parabola through f, slope and f_new, or half the step
+            new_slope = add(g * new, 1)
+            uphill = ~(new_slope < 0.0)
+            if count(uphill):
+                new[uphill] = -g[uphill]
+                new_slope[uphill] = -add(g[uphill] * g[uphill], 1)
+            if fresh_count == len(idx):
+                p, slope, t = new, new_slope, np.ones(len(idx))
+            else:
+                p, slope, t = where(fresh[:, None], new, p), where(fresh, new_slope, slope), where(fresh, 1.0, t)
+        x_new = x + t[:, None] * p
+        f_new, g_new = fun(x_new, idx)
+        rounds += 1
+        s, y = x_new - x, g_new - g
+        finite = np.isfinite(f_new)
+        armijo = finite & (f_new <= f + ARMIJO_C1 * t * slope)
+        accept = armijo & (f_new < f)
+        failed, full = False, count(accept) == len(idx)  # full: every member takes its step
+        if not full:
+            # the test passes also when x_new rounds to x; that is no step
+            accept |= armijo & (f_new == f) & s.any(1)
+            # the minimizer of the parabola through f, slope and f_new, or half the step
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 t_par = -slope * t * t / (2.0 * (f_new - f - slope * t))
-                t = where(finite & ~armijo, np.minimum(np.maximum(t_par, 0.1 * t), 0.5 * t), 0.5 * t)
-                failed = ~accept & (t < MIN_STEP)
-            # max(|f|, |f_new|) is max(f, -f_new) where f_new <= f
-            stop = accept & (f - f_new <= ftol * np.maximum(np.maximum(f, -f_new), 1.0))
-            x, g, f = where(accept[:, None], x_new, x), where(accept[:, None], g_new, g), where(accept, f_new, f)
-            nit += accept
-            conv = accept & (np.maximum.reduce(np.abs(g), 1) <= gtol)
-            if rounds >= MAX_ITERS:
-                # the last step allowed ends the descent before its gtol test
-                capped = accept & ~stop & (nit >= MAX_ITERS)
-                conv, failed = conv & ~capped, failed | capped
-            ok = stop | conv
-            done = failed | ok
-            sy, yy = add(s * y, 1, keepdims=True), add(y * y, 1, keepdims=True)
-            update = accept & ~done & (sy > 1e-12 * yy)[:, 0]
-            if count(update):
+            t = where(finite & ~armijo, np.minimum(np.maximum(t_par, 0.1 * t), 0.5 * t), 0.5 * t)
+            failed = ~accept & (t < MIN_STEP)
+            x_new, g_new, f_new = where(accept[:, None], x_new, x), where(accept[:, None], g_new, g), where(accept, f_new, f)
+        # max(|f|, |f_new|) is max(f, -f_new) where f_new <= f
+        stop = accept & (f - f_new <= ftol * np.maximum(np.maximum(f, -f_new), 1.0))
+        x, g, f = x_new, g_new, f_new
+        nit += accept
+        conv = accept & (np.maximum.reduce(np.abs(g), 1) <= gtol)
+        if rounds >= MAX_ITERS:
+            # the last step allowed ends the descent before its gtol test
+            capped = accept & ~stop & (nit >= MAX_ITERS)
+            conv, failed = conv & ~capped, failed | capped
+        ok = stop | conv
+        done = failed | ok
+        sy, yy = add(s * y, 1, keepdims=True), add(y * y, 1, keepdims=True)
+        update = accept & ~done & (sy > 1e-12 * yy)[:, 0]
+        updates = count(update)
+        if updates:
+            if not all_h:
                 first = update & ~has_h
-                h[first] = np.eye(n) * (sy[first] / yy[first])[:, :, None]
-                has_h |= first
-                # the members without an update get a zero one
-                rho, s, y = (where(update[:, None], a, 0.0) for a in (1.0 / sy, s, y))
-                hy = np.matmul(h, y[:, :, None])[:, :, 0]
-                v = (0.5 * rho * (rho * add(y * hy, 1, keepdims=True) + 1.0)) * s - rho * hy
-                # the rank-2 update as A + A^T, so each H stays exactly symmetric
-                for lo in range(0, len(idx), UPDATE_SLICE):
-                    half = s[lo : lo + UPDATE_SLICE, :, None] * v[lo : lo + UPDATE_SLICE, None, :]
-                    h[lo : lo + UPDATE_SLICE] += half + half.transpose(0, 2, 1)
-            fresh = accept & ~done
+                h[first], has_h = np.eye(n) * (sy[first] / yy[first])[:, :, None], has_h | first
+                all_h = bool(has_h.all())
+            if updates == len(idx):
+                rho = 1.0 / sy
+            else:  # the members without an update get a zero one
+                rho = where(update[:, None], 1.0 / where(update[:, None], sy, 1.0), 0.0)
+                s, y = where(update[:, None], s, 0.0), where(update[:, None], y, 0.0)
+            hy = np.matmul(h, y[:, :, None])[:, :, 0]
+            v = (0.5 * rho * (rho * add(y * hy, 1, keepdims=True) + 1.0)) * s - rho * hy
+            # the rank-2 update as A + A^T, so each H stays exactly symmetric
+            for lo in range(0, len(idx), UPDATE_SLICE):
+                half = s[lo : lo + UPDATE_SLICE, :, None] * v[lo : lo + UPDATE_SLICE, None, :]
+                h[lo : lo + UPDATE_SLICE] += half + half.transpose(0, 2, 1)
+        fresh = accept & ~done
     return out._replace(success=bool(out.converged.all()))
 
 
@@ -259,10 +266,22 @@ def _pattern(names: str, *rows: str) -> np.ndarray:
 _GRAM = _pattern("nn0 re im", "nn0 re 0 im", "0 0 -im 0", "0 0 nn0 re", "0 0 0 0").T
 # c0^dag w and |w|^2 from W W^T, for the second pass
 _GRAM2 = _pattern("re im ww", "0 re 0 im", "0 ww -im 0", "0 0 0 re", "0 0 0 ww").T
-# the first pass w = c1 - gamma c0, from (1, a, b) with gamma = a + ib
-_PASS1 = _pattern("one a b", "one 0 0 0", "-a one b 0", "0 0 one 0", "-b 0 -a one")
+# the first pass's change to X, w - c1 = -gamma c0, from (a, b) with gamma = a + ib
+_PASS1 = _pattern("a b", "0 0 0 0", "-a 0 b 0", "0 0 0 0", "-b 0 -a 0")
 # the second pass and the normalization, from (1/n0, 1/n1, a2/n1, b2/n1)
 _PASS2 = _pattern("r0 r1 a b", "r0 0 0 0", "-a r1 b 0", "0 0 r0 0", "-b 0 -a r1")
+
+
+def _columns(stack: np.ndarray):
+    """The columns of a (k, c) stack of per-row scalars: c floats when k is 1,
+    else c arrays of shape (k,). The per-row formulas below take either, so a
+    one-member batch pays Python arithmetic instead of numpy calls."""
+    return stack[0].tolist() if len(stack) == 1 else stack.T
+
+
+def _stack(*columns) -> np.ndarray:
+    """The (k, c) stack of c columns from `_columns` or per-row formulas."""
+    return np.array(columns).T.reshape(-1, len(columns))
 
 
 def _gram_schmidt(x: np.ndarray, d: int):
@@ -273,21 +292,25 @@ def _gram_schmidt(x: np.ndarray, d: int):
     c0^dag c1 / |c0|^2 = a + ib, come back as Y = M X in the same layout. The
     second column is orthogonalized in two passes, each from the Gram matrix
     of its own input, so q1 stays orthogonal to q0 for nearly parallel
-    columns. Returns X, Y, (1/n0, 1/n1), (a, b) and which rows are degenerate
-    (a numerically zero first column or parallel columns; finite placeholders)."""
+    columns. Returns X, Y, the columns (1/n0, 1/n1, a, b) and which rows are
+    degenerate (a numerically zero first column or parallel columns; finite
+    placeholders)."""
     xm = x.reshape(-1, 4, d)
-    g = np.matmul(xm, xm.swapaxes(1, 2)).reshape(-1, 16) @ _GRAM
-    nn0 = np.maximum(g[:, :1], 1e-20)
-    # rows c0 and w = c1 - gamma c0, from (1, a, b); the second pass repeats it on w
-    one_ab = g / nn0
-    w = np.matmul((one_ab @ _PASS1).reshape(-1, 4, 4), xm)
-    h = np.matmul(w, w.swapaxes(1, 2)).reshape(-1, 16) @ _GRAM2
-    ab2 = h[:, :2] / nn0
-    # |c0|^2, and |w|^2 minus its part along c0, which the first pass left tiny
-    nn = np.concatenate((g[:, :1], h[:, 2:] - np.add.reduce(ab2 * h[:, :2], 1, keepdims=True)), 1)
-    r = 1.0 / np.sqrt(np.maximum(nn, 1e-20))
-    ym = np.matmul((np.concatenate((r, ab2 * r[:, 1:]), 1) @ _PASS2).reshape(-1, 4, 4), w)
-    return xm, ym, r, one_ab[:, 1:] + ab2, ~(np.minimum.reduce(nn, 1) > 1e-20)
+    k = len(xm)
+    nn0, re, im = _columns(np.matmul(xm, xm.swapaxes(1, 2)).reshape(k, 16) @ _GRAM)
+    live = nn0 > 1e-20
+    nn0 = np.maximum(nn0, 1e-20)
+    a, b = re / nn0, im / nn0
+    # rows c0 and w = c1 - gamma c0; the second pass repeats this step on w
+    w = xm + np.matmul((_stack(a, b) @ _PASS1).reshape(k, 4, 4), xm)
+    re2, im2, ww = _columns(np.matmul(w, w.swapaxes(1, 2)).reshape(k, 16) @ _GRAM2)
+    a2, b2 = re2 / nn0, im2 / nn0
+    # |w|^2 minus its part along c0, which the first pass left tiny
+    nn1 = ww - (a2 * re2 + b2 * im2)
+    bad = np.logical_not(live & (nn1 > 1e-20)).reshape(k)
+    r0, r1 = 1.0 / np.sqrt(nn0), 1.0 / np.sqrt(np.maximum(nn1, 1e-20))
+    ym = np.matmul((_stack(r0, r1, a2 * r1, b2 * r1) @ _PASS2).reshape(k, 4, 4), w)
+    return xm, ym, (r0, r1, a + a2, b + b2), bad
 
 
 def _columns_from_params(params: np.ndarray, d: int) -> np.ndarray:
@@ -295,7 +318,7 @@ def _columns_from_params(params: np.ndarray, d: int) -> np.ndarray:
     x = np.asarray(params, dtype=float)
     if x.size != 4 * d:
         raise ValueError(f"expected {4 * d} parameters, got {x.size}")
-    _, ym, _, _, bad = _gram_schmidt(x, d)
+    _, ym, _, bad = _gram_schmidt(x, d)
     if bad[0]:
         raise DegenerateColumnsError("raw columns are zero or numerically parallel")
     return (ym[0, :2] + 1j * ym[0, 2:]).T
@@ -346,7 +369,7 @@ def _fidelity_stack(x: np.ndarray, forms: np.ndarray, d: int, rows=None):
     = (problem, slot, width) a stack of p problems' forms: row i belongs to
     problem[i], and the rows meet their forms in one product per problem in a
     (p, width) layout, zero-padded once members have left the batch."""
-    xm, ym, r, ab, bad = _gram_schmidt(x, d)
+    xm, ym, scalars, bad = _gram_schmidt(x, d)
     k, n = len(ym), 4 * d
     y = ym.reshape(k, n)
     if rows is None:
@@ -360,7 +383,7 @@ def _fidelity_stack(x: np.ndarray, forms: np.ndarray, d: int, rows=None):
         pad[problem, slot] = y
         ry = np.matmul(pad, forms)[problem, slot]
     ry = ry.reshape(k, -1, n)
-    return xm, ym, r, ab, bad, ry, np.matmul(ry, y[:, :, None])[:, :, 0]
+    return xm, ym, scalars, bad, ry, np.matmul(ry, y[:, :, None])[:, :, 0]
 
 
 def _exact(x: np.ndarray, forms: np.ndarray, d: int, mode: str, rows=None) -> np.ndarray:
@@ -379,16 +402,6 @@ _PULLBACK = _pattern(
 )
 # the sums of Re g_i^dag q_j that the derivatives in n0, n1 and gamma need, from G Y^T
 _PSUMS = _pattern("p0 p1 pr pi", "p0 0 0 0", "pr p1 pi 0", "0 0 p0 0", "-pi 0 pr p1").T
-# (k00, k01, k03, k11) as bilinear forms in those sums and the features (r0^2,
-# r0 r1, r0 r1 a, r0 r1 b, r1^2, r1^2 a, r1^2 b, r1^2 (a^2 + b^2)), with
-# r0 = 1/n0, r1 = 1/n1 and the last column holding the rest of k00
-_K = np.zeros((4, 8, 5))
-for _i, _j, _e, _c in (  # (sum, feature, entry, coefficient); k00 is entries 0 + 4
-    (0, 0, 0, -1.0), (1, 7, 0, -1.0), (2, 2, 4, 2.0), (3, 3, 4, -2.0),
-    (2, 1, 1, -1.0), (1, 5, 1, 1.0), (3, 1, 2, 1.0), (1, 6, 2, 1.0), (1, 4, 3, -1.0),
-):
-    _K[_i, _j, _e] = _c
-_K = _K.reshape(32, 5)
 
 
 def _search_objective(
@@ -404,7 +417,7 @@ def _search_objective(
     matrix of X. Each 4 x 4 and 4 x 8 map is a coefficient stack times a
     constant _pattern.
     """
-    xm, ym, r, ab, bad, ry, fids = _fidelity_stack(x, forms, d, rows)
+    xm, ym, (r0, r1, a, b), bad, ry, fids = _fidelity_stack(x, forms, d, rows)
     k, add = len(xm), np.add.reduce
     if mode == "max_min":
         lo = np.minimum.reduce(fids, 1, keepdims=True)
@@ -419,16 +432,16 @@ def _search_objective(
         value -= PENALTY_WEIGHT / m * add(dev * dev, 1, keepdims=True)
         e = dev * (4.0 * PENALTY_WEIGHT / m) - 2.0 / m
     gm = np.matmul(e[:, None, :], ry).reshape(k, 4, d)
-    p = np.matmul(gm, ym.swapaxes(1, 2)).reshape(k, 16) @ _PSUMS
-    r0r, r1r1 = r[:, :1] * r, r[:, 1:] * r[:, 1:]
-    feats = np.concatenate((r0r, r0r[:, 1:] * ab, r1r1, r1r1 * ab, r1r1 * add(ab * ab, 1, keepdims=True)), 1)
-    kk = (p[:, :, None] * feats[:, None, :]).reshape(k, 32) @ _K
-    kk[:, 0] += kk[:, 4]
-    coef = np.concatenate((r, ab * r[:, 1:], kk[:, :4]), 1)
+    p0, p1, pr, pi = _columns(np.matmul(gm, ym.swapaxes(1, 2)).reshape(k, 16) @ _PSUMS)
+    # the value's derivatives in n0 and n1, over n0 and n1, and the one in
+    # gamma (tr + i ti) over n0^2
+    dn0, dn1, tr, ti = -p0 * r0, -p1 * r1, -pr * r0 * r1, -pi * r0 * r1
+    k11 = dn1 * r1
+    k00 = dn0 * r0 - 2.0 * (tr * a - ti * b) + k11 * (a * a + b * b)
+    coef = _stack(r0, r1, a * r1, b * r1, k00, tr - k11 * a, -ti - k11 * b, k11)
     grad = np.matmul((coef @ _PULLBACK).reshape(k, 4, 8), np.concatenate((gm, xm), axis=1)).reshape(k, -1)
     value = -value[:, 0]
-    if bad.any():
-        value[bad], grad[bad] = math.inf, 0.0
+    value[bad], grad[bad] = math.inf, 0.0
     return value, grad
 
 
@@ -462,8 +475,7 @@ def _search(forms: np.ndarray, d: int, cfg: OptimizationConfig, starts: np.ndarr
     def exact(x, width):
         return _exact(x, shared, d, cfg.mode, rows(np.arange(len(x)), width))
 
-    # exploration restarts only need to identify the best basin; the winner
-    # is polished to full precision afterwards
+    # exploration only needs to find the best basin; the winner is polished after
     res = minimize(objective(s), starts.reshape(p * s, n), ftol=cfg.tol)
     values = np.where(np.isfinite(res.fun), exact(res.x, s), -math.inf).reshape(p, s)
     best_val, pick = np.full(p, -math.inf), np.zeros(p, int)
@@ -551,8 +563,7 @@ def scan_equator(resolution: int, seed: int = 0, progress=None) -> ScanGrid:
     # the first cell of each orbit, in row-major order
     firsts = sorted({key: c for c, key in reversed(list(enumerate(keys)))}.values())
     embed = _sym_embedding(2, 1)
-    d = embed.shape[1]
-    grid = np.zeros(resolution * resolution)
+    d, grid = embed.shape[1], np.zeros(resolution * resolution)
     solved: dict[tuple[int, ...], float] = {}
     for b in range(0, len(firsts), SCAN_BATCH):
         batch = firsts[b : b + SCAN_BATCH]

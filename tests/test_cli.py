@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import textwrap
+import time
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -183,6 +184,22 @@ def test_budget_csv_is_a_prefix_of_the_full_csv(capsys):
     partial = capsys.readouterr().out
     assert partial.count("\n") > 1
     assert full.startswith(partial) and len(partial) < len(full)
+
+
+def test_budget_stops_a_long_scan_early(capsys):
+    # the orbits are solved in batches and every cell is reported as soon as
+    # its orbit is, so a budget cuts the work itself, not only the CSV
+    t0 = time.perf_counter()
+    assert main(["scan", "--resolution", "48"]) == 0
+    full_s = time.perf_counter() - t0
+    full = capsys.readouterr().out
+    t0 = time.perf_counter()
+    assert main(["scan", "--resolution", "48", "--budget", "0.05"]) == 4
+    budget_s = time.perf_counter() - t0
+    partial = capsys.readouterr().out
+    assert partial.count("\n") > 1
+    assert full.startswith(partial) and len(partial) < len(full)
+    assert budget_s < 0.5 * full_s
 
 
 def test_scan_low_resolution_exit_2(capsys):
