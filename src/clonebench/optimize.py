@@ -1,24 +1,20 @@
 """Numerical search for the best cloning machine on a finite input set.
 
-One search serves 1->2 and 1->n: `optimize` finds the best 1->copies machine
-for an input set, and `optimize_n` is that search on the 120-degree trio
-inside the symmetric subspace.
-
-Raw real parameters are read as two complex output columns, Gram-Schmidt
+`optimize` finds the best 1->copies machine for an input set; `optimize_n`
+is that search on the 120-degree trio inside the symmetric subspace. Raw
+real parameters are read as two complex output columns, Gram-Schmidt
 orthonormalized and (optionally) embedded from the symmetric subspace, so
 every iterate is a valid isometry. Every copy fidelity is a Hermitian form
 in the columns (Fiurasek, PRA 64, 062310, 2001): F_n = y^T R_n y, with y the
 real and imaginary parts of the stacked columns. `_search_objective`
-evaluates a batch of parameter rows, each step one numpy call for the whole
+evaluates a batch of parameter rows, one numpy call per step for the whole
 batch, and `_descend` runs BFGS from every row in lockstep. The hard min is
-smoothed with a log-sum-exp during the search and re-evaluated exactly.
+smoothed with a log-sum-exp in the search and re-evaluated exactly.
 
-A search is set by OptimizationConfig: restarts, the exploration tolerance,
-the objective mode, the parameterization (symmetric, ancilla_dim, copies) and
-the seed. A descent stops when one step lowers the smoothed objective by at
-most tol relative to its size, or when its gradient vanishes; the winner is
-then polished with tolerances near machine precision, for max-min through
-the softmin sharpnesses POLISH_SHARPNESS in turn, far inside MAX_ITERS.
+OptimizationConfig sets restarts, the exploration tolerance, the objective
+mode, the parameterization (symmetric, ancilla_dim, copies) and the seed. The
+winner of the exploration is polished with tolerances near machine precision,
+for max-min through the softmin sharpnesses POLISH_SHARPNESS in turn.
 
 The searches call the module attribute `minimize`, bound to `_descend`, once
 per batched descent: `optimize` once to explore all its starts and once per
@@ -31,139 +27,20 @@ import csv
 import io
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
 from .cloners import CloneIsometry
+from .descent import _descend
 from .qlinalg import DegenerateColumnsError, sym_basis
 from .states import TWO_PI, BlochPoint, InputSet, bloch_to_state, equatorial_trio
 
 SMOOTH_SHARPNESS = 500.0  # log-sum-exp softening of the hard min
 POLISH_SHARPNESS = (5e2, 5e3, 5e4, 5e5, 5e6, 5e7)  # the max-min polish stages
 PENALTY_WEIGHT = 100.0  # weight of the fidelity variance in equal_fidelity_penalty
-MAX_ITERS = 15000  # descent iteration cap, scipy L-BFGS-B's default
-ARMIJO_C1 = 1e-4  # sufficient-decrease constant of the backtracking line search
-MIN_STEP = 1e-20  # a line search whose step falls below this has failed
-UPDATE_SLICE = 32  # members per slice of the inverse-Hessian update, to bound its temporaries
 
-
-class _Descent(NamedTuple):
-    x: np.ndarray  # (k, n) final points
-    fun: np.ndarray  # (k,) final values
-    nit: np.ndarray  # (k,) accepted steps
-    nfev: np.ndarray  # (k,) evaluations
-    converged: np.ndarray  # (k,) whether each member stopped on a tolerance
-    success: bool  # whether every member converged
-
-
-def _descend(fun, x0, ftol: float = 1e-6, gtol: float = 1e-5) -> _Descent:
-    """BFGS from every row of x0, all rows in lockstep (Nocedal & Wright,
-    Numerical Optimization, 2006: Alg. 6.1 with the backtracking of Alg. 3.1).
-
-    `fun(x, idx)` returns values (k,) and gradients (k, n) at the rows of x,
-    the batch members idx. Each round evaluates every running member once; a
-    member that stops leaves the batch. Each member keeps the serial rules: H
-    starts as (s.y / y.y) I after the first step, which goes along -g/|g|;
-    an update with s.y <= 1e-12 y.y is skipped, and -g replaces a -Hg that
-    is no descent direction. A step backtracks from t = 1 to the Armijo
-    condition by the parabola clamped to [0.1 t, 0.5 t], or by halving where
-    the value is not finite or x + t p rounds to x. A member converges when
-    max|g| <= gtol or one step lowers its value by at most ftol * max(|f_k|,
-    |f_k+1|, 1) (scipy's L-BFGS-B tests), and fails at a non-finite start, a
-    step below MIN_STEP or MAX_ITERS steps.
-    """
-    add, where, count = np.add.reduce, np.where, np.count_nonzero
-    x = np.array(x0, dtype=float)
-    k, n = x.shape
-    idx = np.arange(k)
-    f, g = fun(x, idx)
-    out = _Descent(x.copy(), f.copy(), np.zeros(k, int), np.ones(k, int), np.zeros(k, bool), False)
-    # a member keeps H = I, with its step scaled by 1/|g|, until its first update
-    h = np.broadcast_to(np.eye(n), (k, n, n)).copy()
-    has_h, nit, p, t, slope = np.zeros(k, bool), np.zeros(k, int), np.zeros_like(x), np.ones(k), np.zeros(k)
-    ok = np.isfinite(f) & (np.maximum.reduce(np.abs(g), 1) <= gtol)  # members that converged
-    done = ok | ~np.isfinite(f)
-    fresh, rounds, all_h = ~done, 0, False  # members at the top of an iteration, rounds made
-    while True:
-        if count(done):
-            # write the finished members out and drop them from the batch
-            gone = idx[done]
-            out.x[gone], out.fun[gone], out.nit[gone] = x[done], f[done], nit[done]
-            out.nfev[gone], out.converged[gone] = rounds + 1, ok[done]
-            keep = ~done
-            idx, x, f, g, h, has_h, nit, p, t, slope, fresh = (
-                a[keep] for a in (idx, x, f, g, h, has_h, nit, p, t, slope, fresh)
-            )
-            if not idx.size:
-                break
-        fresh_count = count(fresh)
-        if fresh_count:
-            # a new iteration: -H g, or -g/|g| before the first update
-            new = -np.matmul(h, g[:, :, None])[:, :, 0]
-            if not all_h:
-                new /= where(has_h, 1.0, np.sqrt(add(g * g, 1)))[:, None]
-            new_slope = add(g * new, 1)
-            uphill = ~(new_slope < 0.0)
-            if count(uphill):
-                new[uphill] = -g[uphill]
-                new_slope[uphill] = -add(g[uphill] * g[uphill], 1)
-            if fresh_count == len(idx):
-                p, slope, t = new, new_slope, np.ones(len(idx))
-            else:
-                p, slope, t = where(fresh[:, None], new, p), where(fresh, new_slope, slope), where(fresh, 1.0, t)
-        x_new = x + t[:, None] * p
-        f_new, g_new = fun(x_new, idx)
-        rounds += 1
-        s, y = x_new - x, g_new - g
-        finite = np.isfinite(f_new)
-        armijo = finite & (f_new <= f + ARMIJO_C1 * t * slope)
-        accept = armijo & (f_new < f)
-        failed, full = False, count(accept) == len(idx)  # full: every member takes its step
-        if not full:
-            # the test passes also when x_new rounds to x; that is no step
-            accept |= armijo & (f_new == f) & s.any(1)
-            # the minimizer of the parabola through f, slope and f_new, or half the step
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                t_par = -slope * t * t / (2.0 * (f_new - f - slope * t))
-            t = where(finite & ~armijo, np.minimum(np.maximum(t_par, 0.1 * t), 0.5 * t), 0.5 * t)
-            failed = ~accept & (t < MIN_STEP)
-            x_new, g_new, f_new = where(accept[:, None], x_new, x), where(accept[:, None], g_new, g), where(accept, f_new, f)
-        # max(|f|, |f_new|) is max(f, -f_new) where f_new <= f
-        stop = accept & (f - f_new <= ftol * np.maximum(np.maximum(f, -f_new), 1.0))
-        x, g, f = x_new, g_new, f_new
-        nit += accept
-        conv = accept & (np.maximum.reduce(np.abs(g), 1) <= gtol)
-        if rounds >= MAX_ITERS:
-            # the last step allowed ends the descent before its gtol test
-            capped = accept & ~stop & (nit >= MAX_ITERS)
-            conv, failed = conv & ~capped, failed | capped
-        ok = stop | conv
-        done = failed | ok
-        sy, yy = add(s * y, 1, keepdims=True), add(y * y, 1, keepdims=True)
-        update = accept & ~done & (sy > 1e-12 * yy)[:, 0]
-        updates = count(update)
-        if updates:
-            if not all_h:
-                first = update & ~has_h
-                h[first], has_h = np.eye(n) * (sy[first] / yy[first])[:, :, None], has_h | first
-                all_h = bool(has_h.all())
-            if updates == len(idx):
-                rho = 1.0 / sy
-            else:  # the members without an update get a zero one
-                rho = where(update[:, None], 1.0 / where(update[:, None], sy, 1.0), 0.0)
-                s, y = where(update[:, None], s, 0.0), where(update[:, None], y, 0.0)
-            hy = np.matmul(h, y[:, :, None])[:, :, 0]
-            v = (0.5 * rho * (rho * add(y * hy, 1, keepdims=True) + 1.0)) * s - rho * hy
-            # the rank-2 update as A + A^T, so each H stays exactly symmetric
-            for lo in range(0, len(idx), UPDATE_SLICE):
-                half = s[lo : lo + UPDATE_SLICE, :, None] * v[lo : lo + UPDATE_SLICE, None, :]
-                h[lo : lo + UPDATE_SLICE] += half + half.transpose(0, 2, 1)
-        fresh = accept & ~done
-    return out._replace(success=bool(out.converged.all()))
-
-
-minimize = _descend
+minimize = _descend  # every search's descents go through this attribute
 
 
 @dataclass(frozen=True)
@@ -273,9 +150,8 @@ _PASS2 = _pattern("r0 r1 a b", "r0 0 0 0", "-a r1 b 0", "0 0 r0 0", "-b 0 -a r1"
 
 
 def _columns(stack: np.ndarray):
-    """The columns of a (k, c) stack of per-row scalars: c floats when k is 1,
-    else c arrays of shape (k,). The per-row formulas below take either, so a
-    one-member batch pays Python arithmetic instead of numpy calls."""
+    """The c columns of a (k, c) stack: floats when k is 1, else (k,) arrays. The
+    per-row formulas take either, so one member costs no numpy calls there."""
     return stack[0].tolist() if len(stack) == 1 else stack.T
 
 
@@ -285,16 +161,13 @@ def _stack(*columns) -> np.ndarray:
 
 
 def _gram_schmidt(x: np.ndarray, d: int):
-    """Gram-Schmidt on the two raw columns of each row of x, in real arithmetic.
-
-    A row is read as the 4 x d matrix X with rows Re c0, Re c1, Im c0, Im c1.
-    The columns q0 = c0 / n0 and q1 = (c1 - gamma c0) / n1, with gamma =
-    c0^dag c1 / |c0|^2 = a + ib, come back as Y = M X in the same layout. The
-    second column is orthogonalized in two passes, each from the Gram matrix
-    of its own input, so q1 stays orthogonal to q0 for nearly parallel
-    columns. Returns X, Y, the columns (1/n0, 1/n1, a, b) and which rows are
-    degenerate (a numerically zero first column or parallel columns; finite
-    placeholders)."""
+    """Gram-Schmidt on the raw columns of each row of x read as the 4 x d matrix
+    X with rows Re c0, Re c1, Im c0, Im c1: q0 = c0 / n0 and q1 = (c1 - gamma
+    c0) / n1, gamma = c0^dag c1 / |c0|^2 = a + ib, come back as Y = M X. q1 is
+    orthogonalized in two passes, each from its own input's Gram matrix, so it
+    stays orthogonal for nearly parallel columns. Returns X, Y, the columns
+    (1/n0, 1/n1, a, b) and which rows are degenerate (a zero first column or
+    parallel columns; those get finite placeholders)."""
     xm = x.reshape(-1, 4, d)
     k = len(xm)
     nn0, re, im = _columns(np.matmul(xm, xm.swapaxes(1, 2)).reshape(k, 16) @ _GRAM)
@@ -363,12 +236,10 @@ def _exact_objective(fids: np.ndarray, mode: str) -> np.ndarray:
 
 def _fidelity_stack(x: np.ndarray, forms: np.ndarray, d: int, rows=None):
     """The Gram-Schmidt of every row of x, the form products R_n y of its
-    columns y as a (k, m, 4d) stack, and the fidelities y^T R_n y.
-
-    forms is one problem's `_copy_forms`, shared by every row, or with rows
-    = (problem, slot, width) a stack of p problems' forms: row i belongs to
-    problem[i], and the rows meet their forms in one product per problem in a
-    (p, width) layout, zero-padded once members have left the batch."""
+    columns y as a (k, m, 4d) stack, and the fidelities y^T R_n y. forms is one
+    problem's `_copy_forms`, or with rows = (problem, slot, width) a stack of
+    p problems' that the rows meet in a (p, width) layout, zero-padded once
+    members have left the batch, so that no row copies its forms."""
     xm, ym, scalars, bad = _gram_schmidt(x, d)
     k, n = len(ym), 4 * d
     y = ym.reshape(k, n)
@@ -411,12 +282,9 @@ def _search_objective(
     """The negated smoothed objective (k,) and its gradient (k, 4d) at each
     row of x, or (inf, zeros) at a degenerate row; forms and rows as in
     _fidelity_stack. max-min is smoothed by the softmin of the given
-    sharpness; equal-fidelity-penalty needs no smoothing. The gradient in y,
-    G = 2 sum_n w_n R_n y, pulls back to X as M^T G + K X, where the
-    symmetric 4 x 4 K carries the change of (n0, n1, gamma) through the Gram
-    matrix of X. Each 4 x 4 and 4 x 8 map is a coefficient stack times a
-    constant _pattern.
-    """
+    sharpness. The gradient in y, G = 2 sum_n w_n R_n y, pulls back to X as
+    M^T G + K X, where the symmetric 4 x 4 K carries the change of (n0, n1,
+    gamma) through the Gram matrix of X; [M^T | K] is a _pattern product."""
     xm, ym, (r0, r1, a, b), bad, ry, fids = _fidelity_stack(x, forms, d, rows)
     k, add = len(xm), np.add.reduce
     if mode == "max_min":
@@ -457,12 +325,10 @@ def _starts(stream: tuple[int, ...], count: int, size: int) -> np.ndarray:
 def _search(forms: np.ndarray, d: int, cfg: OptimizationConfig, starts: np.ndarray):
     """Best raw parameters for each of p problems (forms stacked, starts
     (p, s, 4d)), their exact objectives and how many starts reached each
-    winner's basin. One descent explores every start on the smoothed
-    objective; a degenerate start evaluates to +inf and is dropped. A start
-    wins its problem when its exact objective beats the best so far by more
-    than 1e-9, so of tied starts the first wins. One more descent polishes
-    the winners, or for max-min one per stage of POLISH_SHARPNESS.
-    """
+    winner's basin. One descent explores every start; a degenerate one is
+    dropped, and the first start to beat the best exact objective by more than
+    1e-9 wins. One descent polishes the winners, one per POLISH_SHARPNESS stage
+    for max-min."""
     p, s, n = starts.shape
     shared = forms[0] if p == 1 else forms
 
@@ -546,15 +412,12 @@ def _orbit_key(i: int, j: int, resolution: int) -> tuple[int, ...]:
 
 def scan_equator(resolution: int, seed: int = 0, progress=None) -> ScanGrid:
     """Grid of best objectives for trios {0, phi2, phi3} over a square grid
-    of phases in [0, 360) degrees.
-
-    One search runs per orbit of the trio-phase symmetry group, at its first
-    cell in row-major order, and every other cell of the orbit copies its
-    value, so the grid is exactly symmetric. Each search is SCAN_CONFIG with
-    this seed, its starts drawn from the stream (seed, index of that cell).
-    The orbits are solved SCAN_BATCH at a time by one `_search`, in row-major
-    order of their first cells. `progress(i, j, value)` fires once per cell in
-    row-major order, as soon as the cell's orbit is solved."""
+    of phases in [0, 360) degrees. One search per orbit of the trio-phase
+    symmetry group fills every cell of the orbit, so the grid is exactly
+    symmetric; its starts come from the stream (seed, index of the orbit's
+    first cell in row-major order). `_search` solves SCAN_BATCH orbits at a
+    time, in that order, and `progress(i, j, value)` fires once per cell in
+    row-major order as soon as the cell's orbit is solved."""
     if resolution < 8:
         raise ValueError("resolution must be >= 8")
     cfg = replace(SCAN_CONFIG, seed=seed)

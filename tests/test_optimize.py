@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import clonebench.descent as descent_module
 import clonebench.optimize as optimize_module
 from clonebench.cloners import CloneIsometry, symmetric_coefficients
 from clonebench.fidelity import copy_fidelity, n_clone_fidelity
@@ -318,7 +319,7 @@ def test_descend_solves_rosenbrock_well_under_the_cap():
     res = descend(rosenbrock, np.array([-1.2, 1.0]), ftol=1e-15, gtol=1e-10)
     assert res.success
     np.testing.assert_allclose(res.x, [1.0, 1.0], rtol=0.0, atol=1e-6)
-    assert res.nit < 100 < optimize_module.MAX_ITERS
+    assert res.nit < 100 < descent_module.MAX_ITERS
 
 
 def test_descend_stops_at_a_non_finite_start():
