@@ -41,8 +41,7 @@ def _descend(fun, x0, ftol: float = 1e-6, gtol: float = 1e-5) -> _Descent:
     idx = np.arange(k)
     f, g = fun(x, idx)
     out = _Descent(x.copy(), f.copy(), np.zeros(k, int), np.ones(k, int), np.zeros(k, bool), False)
-    # a member keeps H = I, with its step scaled by 1/|g|, until its first update
-    h = np.broadcast_to(np.eye(n), (k, n, n)).copy()
+    h = np.broadcast_to(np.eye(n), (k, n, n)).copy()  # H = I, the step scaled by 1/|g|, until updated
     has_h, nit, p, t, slope = np.zeros(k, bool), np.zeros(k, int), np.zeros_like(x), np.ones(k), np.zeros(k)
     ok = np.isfinite(f) & (np.maximum.reduce(np.abs(g), 1) <= gtol)  # members that converged
     done = ok | ~np.isfinite(f)
@@ -74,7 +73,8 @@ def _descend(fun, x0, ftol: float = 1e-6, gtol: float = 1e-5) -> _Descent:
             if fresh_count == len(idx):
                 p, slope, t = new, new_slope, np.ones(len(idx))
             else:
-                p, slope, t = where(fresh[:, None], new, p), where(fresh, new_slope, slope), where(fresh, 1.0, t)
+                p, slope = where(fresh[:, None], new, p), where(fresh, new_slope, slope)
+                t = where(fresh, 1.0, t)
         x_new = x + t[:, None] * p
         f_new, g_new = fun(x_new, idx)
         rounds += 1
@@ -91,7 +91,8 @@ def _descend(fun, x0, ftol: float = 1e-6, gtol: float = 1e-5) -> _Descent:
                 t_par = -slope * t * t / (2.0 * (f_new - f - slope * t))
             t = where(finite & ~armijo, np.minimum(np.maximum(t_par, 0.1 * t), 0.5 * t), 0.5 * t)
             failed = ~accept & (t < MIN_STEP)
-            x_new, g_new, f_new = where(accept[:, None], x_new, x), where(accept[:, None], g_new, g), where(accept, f_new, f)
+            moved = accept[:, None]
+            x_new, g_new, f_new = where(moved, x_new, x), where(moved, g_new, g), where(accept, f_new, f)
         # max(|f|, |f_new|) is max(f, -f_new) where f_new <= f
         stop = accept & (f - f_new <= ftol * np.maximum(np.maximum(f, -f_new), 1.0))
         x, g, f = x_new, g_new, f_new

@@ -352,10 +352,9 @@ def _search(forms: np.ndarray, d: int, cfg: OptimizationConfig, starts: np.ndarr
         raise RuntimeError("all restarts failed (degenerate parameter draws)")
     # restarts whose exploration value reached the winning basin
     hits = (values >= best_val[:, None] - 1e-4).sum(1)
-    # max-min polishes through ever sharper softmins, each stage from the
-    # last: a softmin's maximizer keeps a spread of order 1 / sharpness, and
-    # so a value below the optimum, wherever the optimal multipliers on the
-    # fidelities are unequal
+    # max-min polishes through ever sharper softmins, each stage from the last: a
+    # softmin's maximizer keeps a spread of order 1 / sharpness, and so a value
+    # below the optimum, wherever the optimal multipliers are unequal
     best_x = x = res.x.reshape(p, s, n)[np.arange(p), pick]
     for sharpness in POLISH_SHARPNESS if cfg.mode == "max_min" else (SMOOTH_SHARPNESS,):
         x = minimize(objective(1, sharpness), x, ftol=1e-15, gtol=1e-12).x
