@@ -16,10 +16,8 @@ mode, the parameterization (symmetric, ancilla_dim, copies) and the seed. The
 winner of the exploration is polished with tolerances near machine precision,
 for max-min through the softmin sharpnesses POLISH_SHARPNESS in turn.
 
-The searches call the module attribute `minimize`, bound to `_descend`, once
-per batched descent: `optimize` once to explore all its starts and once per
-polish stage, `scan_equator` twice per batch of orbits.
-"""
+Each batched descent is one call of the module attribute `minimize`: `optimize`
+explores once and polishes once per stage, `scan_equator` twice per batch."""
 
 from __future__ import annotations
 
@@ -172,7 +170,7 @@ def _gram_schmidt(x: np.ndarray, d: int):
     k = len(xm)
     nn0, re, im = _columns(np.matmul(xm, xm.swapaxes(1, 2)).reshape(k, 16) @ _GRAM)
     live = nn0 > 1e-20
-    nn0 = np.maximum(nn0, 1e-20)
+    nn0 = nn0 + (nn0 <= 1e-20)  # a placeholder for degenerate rows
     a, b = re / nn0, im / nn0
     # rows c0 and w = c1 - gamma c0; the second pass repeats this step on w
     w = xm + np.matmul((_stack(a, b) @ _PASS1).reshape(k, 4, 4), xm)
@@ -181,7 +179,7 @@ def _gram_schmidt(x: np.ndarray, d: int):
     # |w|^2 minus its part along c0, which the first pass left tiny
     nn1 = ww - (a2 * re2 + b2 * im2)
     bad = np.logical_not(live & (nn1 > 1e-20)).reshape(k)
-    r0, r1 = 1.0 / np.sqrt(nn0), 1.0 / np.sqrt(np.maximum(nn1, 1e-20))
+    r0, r1 = 1.0 / np.sqrt(nn0), 1.0 / np.sqrt(nn1 + (nn1 <= 1e-20))
     ym = np.matmul((_stack(r0, r1, a2 * r1, b2 * r1) @ _PASS2).reshape(k, 4, 4), w)
     return xm, ym, (r0, r1, a + a2, b + b2), bad
 
@@ -309,7 +307,8 @@ def _search_objective(
     coef = _stack(r0, r1, a * r1, b * r1, k00, tr - k11 * a, -ti - k11 * b, k11)
     grad = np.matmul((coef @ _PULLBACK).reshape(k, 4, 8), np.concatenate((gm, xm), axis=1)).reshape(k, -1)
     value = -value[:, 0]
-    value[bad], grad[bad] = math.inf, 0.0
+    if np.count_nonzero(bad):
+        value[bad], grad[bad] = math.inf, 0.0
     return value, grad
 
 
