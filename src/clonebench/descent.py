@@ -104,8 +104,9 @@ def _descend(fun, x0, ftol: float = 1e-6, gtol: float = 1e-5) -> _Descent:
             conv, failed = conv & ~capped, failed | capped
         ok = stop | conv
         done = failed | ok
+        fresh = accept & ~done
         sy, yy = add(s * y, 1, keepdims=True), add(y * y, 1, keepdims=True)
-        update = accept & ~done & (sy > 1e-12 * yy)[:, 0]
+        update = fresh & (sy > 1e-12 * yy)[:, 0]
         updates = count(update)
         if updates:
             if not all_h:
@@ -123,5 +124,4 @@ def _descend(fun, x0, ftol: float = 1e-6, gtol: float = 1e-5) -> _Descent:
             for lo in range(0, len(idx), UPDATE_SLICE):
                 half = s[lo : lo + UPDATE_SLICE, :, None] * v[lo : lo + UPDATE_SLICE, None, :]
                 h[lo : lo + UPDATE_SLICE] += half + half.transpose(0, 2, 1)
-        fresh = accept & ~done
     return out._replace(success=bool(out.converged.all()))
