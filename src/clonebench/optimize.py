@@ -241,6 +241,8 @@ def _fidelity_stack(x: np.ndarray, forms: np.ndarray, d: int, rows=None):
     xm, ym, scalars, bad = _gram_schmidt(x, d)
     k, n = len(ym), 4 * d
     y = ym.reshape(k, n)
+    if rows is not None and k == rows[2] == 1:  # one polish member left: its forms, a view
+        forms, rows = forms[rows[0][0]], None
     if rows is None:
         ry = y @ forms
     elif k == len(forms) * rows[2]:
@@ -253,12 +255,6 @@ def _fidelity_stack(x: np.ndarray, forms: np.ndarray, d: int, rows=None):
         ry = np.matmul(pad, forms)[problem, slot]
     ry = ry.reshape(k, -1, n)
     return xm, ym, scalars, bad, ry, np.matmul(ry, y[:, :, None])[:, :, 0]
-
-
-def _exact(x: np.ndarray, forms: np.ndarray, d: int, mode: str, rows=None) -> np.ndarray:
-    """The exact objective at every row of x, -inf at a degenerate row."""
-    *_, bad, _, fids = _fidelity_stack(x, forms, d, rows)
-    return np.where(bad, -math.inf, _exact_objective(fids, mode))
 
 
 # [M^T | K] of the gradient pullback, from (r0, r1, a r1, b r1, k00, k01, k03, k11)
@@ -337,8 +333,9 @@ def _search(forms: np.ndarray, d: int, cfg: OptimizationConfig, starts: np.ndarr
     def objective(width, sharpness=SMOOTH_SHARPNESS):
         return lambda x, idx: _search_objective(x, shared, d, cfg.mode, sharpness, rows(idx, width))
 
-    def exact(x, width):
-        return _exact(x, shared, d, cfg.mode, rows(np.arange(len(x)), width))
+    def exact(x, width):  # -inf at a degenerate row
+        *_, bad, _, fids = _fidelity_stack(x, shared, d, rows(np.arange(len(x)), width))
+        return np.where(bad, -math.inf, _exact_objective(fids, cfg.mode))
 
     # exploration only needs to find the best basin; the winner is polished after
     res = minimize(objective(s), starts.reshape(p * s, n), ftol=cfg.tol)
