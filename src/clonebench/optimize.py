@@ -241,7 +241,8 @@ def _fidelity_stack(x: np.ndarray, forms: np.ndarray, d: int, rows=None):
     xm, ym, scalars, bad = _gram_schmidt(x, d)
     k, n = len(ym), 4 * d
     y = ym.reshape(k, n)
-    if rows is not None and k == rows[2] == 1:  # one polish member left: its forms, a view
+    if rows is not None and k == rows[2] == 1:
+        # one member of a one-slot layout left: the same (1, 4d) product, on a view
         forms, rows = forms[rows[0][0]], None
     if rows is None:
         ry = y @ forms
