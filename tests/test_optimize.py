@@ -561,7 +561,7 @@ def test_the_first_of_tied_starts_wins(monkeypatch):
     # bit-identical: the two starts tie exactly
     embed = optimize_module._sym_embedding(2, 1)
     forms = optimize_module._copy_forms(np.column_stack(equatorial_trio().states()), embed, 2, 1)[None]
-    x = optimize_module._search(forms, 3, SMALL, rng_starts(SMALL.restarts))[0][0]
+    x = optimize_module._search(forms, 3, SMALL, optimize_module._starts((0,), SMALL.restarts, 12)[None])[0][0]
     values = []
 
     def stay_put(fun, x0, **kwargs):
@@ -573,11 +573,6 @@ def test_the_first_of_tied_starts_wins(monkeypatch):
         assert best_x[0].tobytes() == first.tobytes()
         values.append(best_val[0])
     assert values[0] == values[1]
-
-
-def rng_starts(count):
-    """The starts `optimize` draws for the symmetric 1->2 search with seed 0."""
-    return np.array([[np.random.default_rng([0, r]).standard_normal(12) for r in range(count)]])
 
 
 def test_optimize_seed_changes_search_path():
