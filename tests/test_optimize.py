@@ -561,7 +561,8 @@ def test_the_first_of_tied_starts_wins(monkeypatch):
     # bit-identical: the two starts tie exactly
     embed = optimize_module._sym_embedding(2, 1)
     forms = optimize_module._copy_forms(np.column_stack(equatorial_trio().states()), embed, 2, 1)[None]
-    x = optimize_module._search(forms, 3, SMALL, optimize_module._starts((0,), SMALL.restarts, 12)[None])[0][0]
+    starts = optimize_module._starts((0,), SMALL.restarts, 12)[None]
+    x = optimize_module._search(forms, 3, SMALL, starts)[0][0]
     values = []
 
     def stay_put(fun, x0, **kwargs):
