@@ -232,28 +232,28 @@ def _exact_objective(fids: np.ndarray, mode: str) -> np.ndarray:
     return fids.mean(-1) - PENALTY_WEIGHT * fids.var(-1)
 
 
-def _fidelity_stack(x: np.ndarray, forms: np.ndarray, d: int, rows=None):
+def _fidelity_stack(x: np.ndarray, forms: np.ndarray, d: int, idx=None, width=None):
     """The Gram-Schmidt of every row of x, the form products R_n y of its
-    columns y as a (k, m, 4d) stack, and the fidelities y^T R_n y. forms is one
-    problem's `_copy_forms`, or with rows = (problem, slot, width) a stack of
-    p problems' that the rows meet in a (p, width) layout, zero-padded once
-    members have left the batch, so that no row copies its forms."""
+    columns y as a (k, m, 4d) stack, and the fidelities y^T R_n y. forms stacks
+    p problems' `_copy_forms`; row r is member idx[r] of a (p, width) layout,
+    by default members 0..k-1 of one problem. Rows of several problems meet
+    their forms in that layout, zero-padded where members have left, so that no
+    row copies its forms. A row's product is then a matrix-matrix (gemm) row,
+    which does not depend on the other rows or their number, or a matrix-vector
+    one in a one-slot layout. Rows of one problem take the same product with its
+    forms directly, a lone row in a wider layout padded to two rows."""
     xm, ym, scalars, bad = _gram_schmidt(x, d)
     k, n = len(ym), 4 * d
     y = ym.reshape(k, n)
-    if rows is not None and k == rows[2] == 1:
-        # one member of a one-slot layout left: the same (1, 4d) product, on a view
-        forms, rows = forms[rows[0][0]], None
-    if rows is None:
-        ry = y @ forms
-    elif k == len(forms) * rows[2]:
-        # no member has left: the rows are that layout already
-        ry = np.matmul(y.reshape(len(forms), -1, n), forms)
+    if idx is None:
+        idx, width = np.arange(k), k
+    if k == 1 or len(forms) == 1:
+        rows = y if k > 1 or width == 1 else np.concatenate((y, np.zeros((1, n))))
+        ry = (rows @ forms[idx[0] // width])[:k]
     else:
-        problem, slot, width = rows
-        pad = np.zeros((len(forms), width, n))
-        pad[problem, slot] = y
-        ry = np.matmul(pad, forms)[problem, slot]
+        pad = np.zeros((len(forms) * width, n))
+        pad[idx] = y
+        ry = np.matmul(pad.reshape(len(forms), width, n), forms).reshape(len(pad), -1)[idx]
     ry = ry.reshape(k, -1, n)
     return xm, ym, scalars, bad, ry, np.matmul(ry, y[:, :, None])[:, :, 0]
 
@@ -272,15 +272,15 @@ _PSUMS = _pattern("p0 p1 pr pi", "p0 0 0 0", "pr p1 pi 0", "0 0 p0 0", "-pi 0 pr
 
 def _search_objective(
     x: np.ndarray, forms: np.ndarray, d: int, mode: str, sharpness: float = SMOOTH_SHARPNESS,
-    rows=None,
+    idx=None, width=None,
 ):
     """The negated smoothed objective (k,) and its gradient (k, 4d) at each
-    row of x, or (inf, zeros) at a degenerate row; forms and rows as in
+    row of x, or (inf, zeros) at a degenerate row; forms, idx and width as in
     _fidelity_stack. max-min is smoothed by the softmin of the given
     sharpness. The gradient in y, G = 2 sum_n w_n R_n y, pulls back to X as
     M^T G + K X, where the symmetric 4 x 4 K carries the change of (n0, n1,
     gamma) through the Gram matrix of X; [M^T | K] is a _pattern product."""
-    xm, ym, (r0, r1, a, b), bad, ry, fids = _fidelity_stack(x, forms, d, rows)
+    xm, ym, (r0, r1, a, b), bad, ry, fids = _fidelity_stack(x, forms, d, idx, width)
     k, add = len(xm), np.add.reduce
     if mode == "max_min":
         lo = np.minimum.reduce(fids, 1, keepdims=True)
@@ -326,16 +326,12 @@ def _search(forms: np.ndarray, d: int, cfg: OptimizationConfig, starts: np.ndarr
     1e-9 wins. One descent polishes the winners, one per POLISH_SHARPNESS stage
     for max-min."""
     p, s, n = starts.shape
-    shared = forms[0] if p == 1 else forms
-
-    def rows(idx, width):
-        return None if p == 1 else (*np.divmod(idx, width), width)
 
     def objective(width, sharpness=SMOOTH_SHARPNESS):
-        return lambda x, idx: _search_objective(x, shared, d, cfg.mode, sharpness, rows(idx, width))
+        return lambda x, idx: _search_objective(x, forms, d, cfg.mode, sharpness, idx, width)
 
     def exact(x, width):  # -inf at a degenerate row
-        *_, bad, _, fids = _fidelity_stack(x, shared, d, rows(np.arange(len(x)), width))
+        *_, bad, _, fids = _fidelity_stack(x, forms, d, np.arange(len(x)), width)
         return np.where(bad, -math.inf, _exact_objective(fids, cfg.mode))
 
     # exploration only needs to find the best basin; the winner is polished after
@@ -368,8 +364,8 @@ def optimize(input_set: InputSet, cfg: OptimizationConfig) -> OptimizationResult
     copies = cfg.copies
     embed = _sym_embedding(copies, cfg.ancilla_dim) if cfg.symmetric else np.eye(2**copies * cfg.ancilla_dim)
     d = embed.shape[1]
-    forms = _copy_forms(np.column_stack(input_set.states()), embed, copies, cfg.ancilla_dim)
-    best_x, _, hits = _search(forms[None], d, cfg, _starts((cfg.seed,), cfg.restarts, 4 * d)[None])
+    forms = _copy_forms(np.column_stack(input_set.states()), embed, copies, cfg.ancilla_dim)[None]
+    best_x, _, hits = _search(forms, d, cfg, _starts((cfg.seed,), cfg.restarts, 4 * d)[None])
     q = _columns_from_params(best_x[0], d)
     fids = _fidelity_stack(best_x, forms, d)[-1].reshape(copies, -1)
     per_state = tuple(

@@ -159,7 +159,7 @@ def test_degenerate_draws_evaluate_to_inf(c0, c1):
     with pytest.raises(DegenerateColumnsError):
         optimize_module._columns_from_params(x, 3)
     for mode in ("max_min", "equal_fidelity_penalty"):
-        value, grad = optimize_module._search_objective(x[None], forms, 3, mode)
+        value, grad = optimize_module._search_objective(x[None], forms[None], 3, mode)
         np.testing.assert_array_equal(value, [math.inf])
         np.testing.assert_array_equal(grad, np.zeros((1, 12)))
 
@@ -194,7 +194,7 @@ def test_search_objective_is_the_smoothed_objective_of_the_fidelities(
     for sharpness in (optimize_module.SMOOTH_SHARPNESS, 5e4):
         # one batch of 20 rows, each checked against its own fidelities
         x = rng.standard_normal((20, 4 * d)) * rng.uniform(0.1, 10.0, (20, 1))
-        value, grad = optimize_module._search_objective(x, forms, d, mode, sharpness)
+        value, grad = optimize_module._search_objective(x, forms[None], d, mode, sharpness)
         assert value.shape == (20,) and grad.shape == x.shape
         for row, v in zip(x, value):
             fids = fidelities(forms, optimize_module._columns_from_params(row, d))
@@ -429,7 +429,8 @@ def assert_search_gradient_matches_central_differences(recorded_minimize, input_
 def test_search_gradient_matches_central_differences(
     recorded_minimize, mode, input_set, ancilla_dim
 ):
-    cfg = OptimizationConfig(restarts=1, mode=mode, ancilla_dim=ancilla_dim)
+    # three starts, so that the recorded objective lays out three members
+    cfg = OptimizationConfig(restarts=3, mode=mode, ancilla_dim=ancilla_dim)
     assert_search_gradient_matches_central_differences(recorded_minimize, input_set, cfg)
 
 
@@ -438,7 +439,7 @@ def test_search_gradient_matches_central_differences_in_the_symmetric_subspace(
     recorded_minimize, mode
 ):
     # the scan's parameterization
-    cfg = OptimizationConfig(restarts=1, mode=mode, symmetric=True)
+    cfg = OptimizationConfig(restarts=3, mode=mode, symmetric=True)
     assert_search_gradient_matches_central_differences(recorded_minimize, equatorial_trio(), cfg)
 
 
@@ -454,7 +455,7 @@ def test_scan_exploration_restarts_converge(recorded_minimize):
 def test_stacked_kernel_gradient_matches_central_differences_beside_a_degenerate_member():
     forms = optimize_module._copy_forms(
         np.column_stack(equatorial_trio().states()), optimize_module._sym_embedding(2, 1), 2, 1
-    )
+    )[None]
     rng = np.random.default_rng(8)
     x = rng.standard_normal((4, 12))
     x[2, [0, 1, 2, 6, 7, 8]] = 0.0  # member 2's first raw column is zero
@@ -484,18 +485,39 @@ def test_a_stack_of_problems_evaluates_each_row_on_its_own_forms():
     ]
     forms = np.array([optimize_module._copy_forms(np.column_stack(s.states()), embed, 2, 1) for s in sets])
     rng = np.random.default_rng(9)
-    x = rng.standard_normal((6, 12))
-    problem, slot = np.divmod(np.arange(6), 2)
+    x = rng.standard_normal((9, 12))
+    problem = np.arange(9) // 3
     for mode in ("max_min", "equal_fidelity_penalty"):
-        value, grad = optimize_module._search_objective(x, forms, 3, mode, rows=(problem, slot, 2))
-        for i in range(6):
-            one, one_grad = optimize_module._search_objective(x[i : i + 1], forms[problem[i]], 3, mode)
-            np.testing.assert_allclose(value[i], one[0], rtol=0.0, atol=1e-14)
-            np.testing.assert_allclose(grad[i], one_grad[0], rtol=0.0, atol=1e-13)
-        # rows 1, 2 and 4 have left the batch: the rest go through the padded layout
-        left = [0, 3, 5]
+        value, grad = optimize_module._search_objective(x, forms, 3, mode, idx=np.arange(9), width=3)
+        for i in range(9):
+            # a lone row, on its problem's forms alone or in the layout, is
+            # evaluated bit for bit as in the full batch
+            for one in (
+                optimize_module._search_objective(
+                    x[i : i + 1], forms[problem[i]][None], 3, mode, idx=np.array([i % 3]), width=3
+                ),
+                optimize_module._search_objective(x[i : i + 1], forms, 3, mode, idx=np.array([i]), width=3),
+            ):
+                assert one[0].tobytes() == value[i : i + 1].tobytes()
+                assert one[1].tobytes() == grad[i : i + 1].tobytes()
+        # one slot per problem, as in a polish: each row as when alone
+        polish = optimize_module._search_objective(x[::3], forms, 3, mode, idx=np.arange(3), width=1)
+        for j in range(3):
+            # a problem's rows on its forms alone, as in the stack
+            own = optimize_module._search_objective(
+                x[3 * j : 3 * j + 3], forms[j][None], 3, mode, idx=np.arange(3), width=3
+            )
+            assert own[0].tobytes() == value[3 * j : 3 * j + 3].tobytes()
+            assert own[1].tobytes() == grad[3 * j : 3 * j + 3].tobytes()
+            one = optimize_module._search_objective(x[3 * j : 3 * j + 1], forms[j][None], 3, mode)
+            assert one[0].tobytes() == polish[0][j : j + 1].tobytes()
+            assert one[1].tobytes() == polish[1][j : j + 1].tobytes()
+        np.testing.assert_allclose(polish[0], value[::3], rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(polish[1], grad[::3], rtol=0.0, atol=1e-13)
+        # rows 1, 2, 4 and 8 have left the batch: the rest go through the padded layout
+        left = [0, 3, 5, 6, 7]
         part, part_grad = optimize_module._search_objective(
-            x[left], forms, 3, mode, rows=(problem[left], slot[left], 2)
+            x[left], forms, 3, mode, idx=np.array(left), width=3
         )
         assert part.tobytes() == value[left].tobytes()
         assert part_grad.tobytes() == grad[left].tobytes()
@@ -591,8 +613,15 @@ def test_optimize_n_small_budget():
     # one fidelity per (state, copy), and the machine's coefficients are the
     # columns the search found, to the two roundings of reading them back
     assert len(res.per_state_fidelities) == 3 * 3
+    forms = optimize_module._copy_forms(np.column_stack(equatorial_trio().states()), sym_basis(3), 3, 1)
+    starts = optimize_module._starts((cfg.seed,), cfg.restarts, 16)
+    best_x = optimize_module._search(forms[None], 4, cfg, starts[None])[0][0]
     q = symmetric_coefficients(res.best)
-    np.testing.assert_allclose(sym_basis(3) @ q, res.best.matrix, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(q, optimize_module._columns_from_params(best_x, 4), rtol=0.0, atol=2.3e-16)
+    # and the reported fidelities are that machine's
+    fids = fidelities(forms, q).reshape(3, 3)
+    reported = [f for *_, f in res.per_state_fidelities]
+    np.testing.assert_allclose(reported, fids.T.ravel(), rtol=0.0, atol=1e-15)
 
 
 def test_optimize_n_range():
