@@ -19,8 +19,6 @@ import sys
 import time
 from dataclasses import asdict
 
-import numpy as np
-
 from . import __version__
 from .cloners import (
     CloneIsometry,
@@ -35,6 +33,7 @@ from .fidelity import closed_form_bound, copy_fidelity, decompose_equatorial, n_
 from .optimize import (
     OptimizationConfig,
     OptimizationResult,
+    _stream,
     optimize,
     optimize_n,
     scan_csv,
@@ -411,14 +410,14 @@ def cmd_nclone(args: argparse.Namespace) -> int:
         "bound": bound,
         "machine": json.loads(machine_to_json(res.best)),
     }
-    # self-check: the closed form against the `copy_fidelity` oracle
-    rng = np.random.default_rng(args.seed)
+    # self-check: the closed form against the `copy_fidelity` oracle at 20
+    # phases, draw 0 of the stream (seed, n)
     delta = max(
         abs(
             n_clone_fidelity(res.best, phi)
             - copy_fidelity(res.best, BlochPoint(math.pi / 2.0, phi), 0)
         )
-        for phi in rng.uniform(0.0, TWO_PI, 20)
+        for phi in (_stream([(args.seed, args.n)], 1, 20)[0, 0] * (TWO_PI * 2.0**-64)).tolist()
     )
     doc["oracle_delta"] = delta
     doc["passed"] = bool(abs(res.objective - bound) < 1e-4 and delta < 1e-10)

@@ -8,11 +8,14 @@ every iterate is a valid isometry. Every copy fidelity is a Hermitian form
 in the columns (Fiurasek, PRA 64, 062310, 2001): F_n = y^T R_n y, with y the
 real and imaginary parts of the stacked columns. `_search_objective`
 evaluates a batch of parameter rows, one numpy call per step for the whole
-batch, and `_descend` runs BFGS from every row in lockstep. The hard min is
-smoothed with a log-sum-exp in the search and re-evaluated exactly.
+batch, and `_descend` runs BFGS from every row in lockstep. Each accepted
+step lands on its canonical point, the orthonormal columns Y, so no descent
+drifts along the column scales or c1's part along c0, which leave the value
+unchanged. The hard min is smoothed with a log-sum-exp and re-evaluated exactly.
 
 OptimizationConfig sets restarts, the exploration tolerance, the objective
-mode, the parameterization (symmetric, ancilla_dim, copies) and the seed. The
+mode, the parameterization (symmetric, ancilla_dim, copies) and the seed,
+which keys the counter-based streams of normal starts (`_starts`). The
 winner of the exploration is polished with tolerances near machine precision,
 for max-min through the softmin sharpnesses POLISH_SHARPNESS in turn.
 
@@ -208,21 +211,23 @@ def _copy_forms(
     psis: np.ndarray, embed: np.ndarray, copies: int, ancilla_dim: int
 ) -> np.ndarray:
     """Forms of the copy fidelities of the 1->copies machine embed @ q on the
-    states in the columns of psis: copy 0 of every state, then copy 1, and so
-    on. The m forms R_n come laid out for one product with a stack of
-    columns: the (4d, m*4d) matrix F with (y @ F)[n*4d + i] = (R_n y)_i."""
+    states in the columns of each (2, m) matrix of a stack psis: copy 0 of
+    every state, then copy 1, and so on. The m forms R_n of a problem come laid
+    out for one product with a stack of columns: the (4d, m*4d) matrix F with
+    (y @ F)[n*4d + i] = (R_n y)_i; the result stacks these as psis does."""
     d = embed.shape[1]
-    factors = embed.reshape([2] * copies + [ancilla_dim, d])
-    hs = []
-    for copy in range(copies):
-        for psi in psis.T:
-            pp = np.outer(psi, psi.conj())
-            # the projector on this copy's factor, applied without forming it
-            proj_embed = np.moveaxis(np.tensordot(pp, factors, axes=(1, copy)), 0, copy)
-            # the output on psi is embed @ q @ psi, and q @ psi = (psi^T x I) v
-            hs.append(np.kron(pp.conj(), embed.conj().T @ proj_embed.reshape(-1, d)))
-    forms = _real_forms(np.array(hs))
-    return forms.transpose(2, 0, 1).reshape(4 * d, -1)
+    # e[c, a, b] = embed^dag (|a><b| on copy c's factor) embed
+    factors = embed.reshape([2] * copies + [ancilla_dim * d])
+    e = np.array([
+        np.einsum("aki,bkj->abij", f.conj(), f)
+        for f in (np.moveaxis(factors, c, 0).reshape(2, -1, d) for c in range(copies))
+    ])  # fmt: skip
+    kets = psis.swapaxes(-1, -2)
+    pp = kets[..., :, None] * kets.conj()[..., None, :]
+    # the output on psi is embed @ q @ psi, and q @ psi = (psi^T x I) v
+    hs = np.einsum("...sab,...csij->...csaibj", pp.conj(), np.einsum("...sab,cabij->...csij", pp, e))
+    forms = _real_forms(hs.reshape(*psis.shape[:-2], -1, 2 * d, 2 * d))
+    return np.moveaxis(forms, -1, -3).reshape(*psis.shape[:-2], 4 * d, -1)
 
 
 def _exact_objective(fids: np.ndarray, mode: str) -> np.ndarray:
@@ -268,6 +273,8 @@ _PULLBACK = _pattern(
 )
 # the sums of Re g_i^dag q_j that the derivatives in n0, n1 and gamma need, from G Y^T
 _PSUMS = _pattern("p0 p1 pr pi", "p0 0 0 0", "pr p1 pi 0", "0 0 p0 0", "-pi 0 pr p1").T
+# K at r0 = r1 = 1, a = b = 0, where X = Y and M = I, from the p-sums
+_TANGENT = _pattern("p0 p1 pr pi", "-p0 -pr 0 pi", "-pr -p1 -pi 0", "0 -pi -p0 -pr", "pi 0 -pr -p1")
 
 
 def _search_objective(
@@ -275,11 +282,13 @@ def _search_objective(
     idx=None, width=None,
 ):
     """The negated smoothed objective (k,) and its gradient (k, 4d) at each
-    row of x, or (inf, zeros) at a degenerate row; forms, idx and width as in
-    _fidelity_stack. max-min is smoothed by the softmin of the given
-    sharpness. The gradient in y, G = 2 sum_n w_n R_n y, pulls back to X as
-    M^T G + K X, where the symmetric 4 x 4 K carries the change of (n0, n1,
-    gamma) through the Gram matrix of X; [M^T | K] is a _pattern product."""
+    row of x, or (inf, zeros) at a degenerate row, then each row's canonical
+    point, its orthonormal columns Y, with the gradient there; forms, idx and
+    width as in _fidelity_stack. max-min is smoothed by the softmin of the
+    given sharpness. The gradient in y, G = 2 sum_n w_n R_n y, pulls back to X
+    as M^T G + K X, where the symmetric 4 x 4 K carries the change of (n0, n1,
+    gamma) through the Gram matrix of X; [M^T | K] is a _pattern product. At Y
+    itself M = I, and the gradient is G + K Y."""
     xm, ym, (r0, r1, a, b), bad, ry, fids = _fidelity_stack(x, forms, d, idx, width)
     k, add = len(xm), np.add.reduce
     if mode == "max_min":
@@ -295,7 +304,8 @@ def _search_objective(
         value -= PENALTY_WEIGHT / m * add(dev * dev, 1, keepdims=True)
         e = dev * (4.0 * PENALTY_WEIGHT / m) - 2.0 / m
     gm = np.matmul(e[:, None, :], ry).reshape(k, 4, d)
-    p0, p1, pr, pi = _columns(np.matmul(gm, ym.swapaxes(1, 2)).reshape(k, 16) @ _PSUMS)
+    psums = np.matmul(gm, ym.swapaxes(1, 2)).reshape(k, 16) @ _PSUMS
+    p0, p1, pr, pi = _columns(psums)
     # the value's derivatives in n0 and n1, over n0 and n1, and the one in
     # gamma (tr + i ti) over n0^2
     dn0, dn1, tr, ti = -p0 * r0, -p1 * r1, -pr * r0 * r1, -pi * r0 * r1
@@ -303,19 +313,42 @@ def _search_objective(
     k00 = dn0 * r0 - 2.0 * (tr * a - ti * b) + k11 * (a * a + b * b)
     coef = _stack(r0, r1, a * r1, b * r1, k00, tr - k11 * a, -ti - k11 * b, k11)
     grad = np.matmul((coef @ _PULLBACK).reshape(k, 4, 8), np.concatenate((gm, xm), axis=1)).reshape(k, -1)
+    grad_y = (gm + np.matmul((psums @ _TANGENT).reshape(k, 4, 4), ym)).reshape(k, -1)
     value = -value[:, 0]
     if np.count_nonzero(bad):
         value[bad], grad[bad] = math.inf, 0.0
-    return value, grad
+    return value, grad, ym.reshape(k, -1), grad_y
 
 
 # ---------------------------------------------------------------------------
 # search
 
 
-def _starts(stream: tuple[int, ...], count: int, size: int) -> np.ndarray:
-    """count normal draws of size raw parameters, draw r from the stream (*stream, r)."""
-    return np.array([np.random.default_rng([*stream, r]).standard_normal(size) for r in range(count)])
+def _mix(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer (Steele, Lea & Flood, OOPSLA 2014) on uint64."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    return z ^ (z >> 31)
+
+
+def _stream(keys, count: int, size: int) -> np.ndarray:
+    """Counter-based random bits (Salmon et al., SC 2011): the (p, count,
+    size) uint64 array whose entry (k, r, i) hashes (*keys[k], r, i), each
+    component (mod 2^64) folded in by a splitmix64 step. An entry depends on
+    nothing else, so more draws or longer ones leave the earlier entries."""
+    h = np.zeros(len(keys), np.uint64)
+    for column in zip(*keys):
+        h = _mix(h + 0x9E3779B97F4A7C15 + np.array([v % 2**64 for v in column], np.uint64))
+    h = _mix(h[:, None] + 0x9E3779B97F4A7C15 + np.arange(count, dtype=np.uint64))
+    return _mix(h[:, :, None] + 0x9E3779B97F4A7C15 + np.arange(size, dtype=np.uint64))
+
+
+def _starts(keys, count: int, size: int) -> np.ndarray:
+    """(p, count, size) standard normals, draw r of stream keys[k] at [k, r]:
+    Box-Muller on the two 32-bit halves of each `_stream` entry."""
+    h = _stream(keys, count, size)
+    radius = np.sqrt(-2.0 * np.log(((h >> 32) + 1.0) * 2.0**-32))
+    return radius * np.cos((h & 0xFFFFFFFF) * (TWO_PI * 2.0**-32))
 
 
 def _search(forms: np.ndarray, d: int, cfg: OptimizationConfig, starts: np.ndarray):
@@ -324,7 +357,7 @@ def _search(forms: np.ndarray, d: int, cfg: OptimizationConfig, starts: np.ndarr
     winner's basin. One descent explores every start; a degenerate one is
     dropped, and the first start to beat the best exact objective by more than
     1e-9 wins. One descent polishes the winners, one per POLISH_SHARPNESS stage
-    for max-min."""
+    for max-min. A descended point is canonical: its columns are orthonormal."""
     p, s, n = starts.shape
 
     def objective(width, sharpness=SMOOTH_SHARPNESS):
@@ -359,13 +392,12 @@ def _search(forms: np.ndarray, d: int, cfg: OptimizationConfig, starts: np.ndarr
 
 def optimize(input_set: InputSet, cfg: OptimizationConfig) -> OptimizationResult:
     """Best 1->cfg.copies machine found for the set over random-restart BFGS:
-    `_search` from cfg.restarts normal draws, draw r from the stream
-    (cfg.seed, r)."""
+    `_search` from draws 0..cfg.restarts-1 of the stream (cfg.seed,)."""
     copies = cfg.copies
     embed = _sym_embedding(copies, cfg.ancilla_dim) if cfg.symmetric else np.eye(2**copies * cfg.ancilla_dim)
     d = embed.shape[1]
-    forms = _copy_forms(np.column_stack(input_set.states()), embed, copies, cfg.ancilla_dim)[None]
-    best_x, _, hits = _search(forms, d, cfg, _starts((cfg.seed,), cfg.restarts, 4 * d)[None])
+    forms = _copy_forms(np.column_stack(input_set.states())[None], embed, copies, cfg.ancilla_dim)
+    best_x, _, hits = _search(forms, d, cfg, _starts([(cfg.seed,)], cfg.restarts, 4 * d))
     q = _columns_from_params(best_x[0], d)
     fids = _fidelity_stack(best_x, forms, d)[-1].reshape(copies, -1)
     per_state = tuple(
@@ -414,6 +446,7 @@ def scan_equator(resolution: int, seed: int = 0, progress=None) -> ScanGrid:
         raise ValueError("resolution must be >= 8")
     cfg = replace(SCAN_CONFIG, seed=seed)
     phis = np.linspace(0.0, TWO_PI, resolution, endpoint=False)
+    kets = np.array([bloch_to_state(BlochPoint(math.pi / 2.0, phi)) for phi in phis])
     keys = [_orbit_key(i, j, resolution) for i in range(resolution) for j in range(resolution)]
     # the first cell of each orbit, in row-major order
     firsts = sorted({key: c for c, key in reversed(list(enumerate(keys)))}.values())
@@ -422,19 +455,17 @@ def scan_equator(resolution: int, seed: int = 0, progress=None) -> ScanGrid:
     solved: dict[tuple[int, ...], float] = {}
     for b in range(0, len(firsts), SCAN_BATCH):
         batch = firsts[b : b + SCAN_BATCH]
-        forms = np.array([
-            _copy_forms(np.column_stack([bloch_to_state(BlochPoint(math.pi / 2.0, phis[k]))
-                                         for k in (0, *divmod(c, resolution))]), embed, 2, 1)
-            for c in batch
-        ])  # fmt: skip
-        starts = np.array([_starts((seed, c), cfg.restarts, 4 * d) for c in batch])
+        trios = kets[np.array([(0, *divmod(c, resolution)) for c in batch])]  # (p, 3, 2)
+        forms = _copy_forms(trios.swapaxes(1, 2), embed, 2, 1)
+        starts = _starts([(seed, c) for c in batch], cfg.restarts, 4 * d)
         solved.update(zip((keys[c] for c in batch), _search(forms, d, cfg, starts)[1].tolist()))
         # every cell before the next batch's first orbit now has its value
         end = firsts[b + SCAN_BATCH] if b + SCAN_BATCH < len(firsts) else grid.size
-        for c in range(batch[0], end):
-            grid[c] = solved[keys[c]]
-            if progress is not None:
-                progress(*divmod(c, resolution), grid[c])
+        cells = [(*divmod(c, resolution), solved[keys[c]]) for c in range(batch[0], end)]
+        grid[batch[0] : end] = [value for *_, value in cells]
+        if progress is not None:
+            for cell in cells:
+                progress(*cell)
     return ScanGrid(resolution=resolution, fidelity=grid.reshape(resolution, resolution))
 
 

@@ -417,6 +417,34 @@ def test_no_command_imports_scipy():
     assert proc.stderr.splitlines() == [f"{cmd} []" for cmd in ("verify", "optimize", "nclone", "scan")]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--machine", "uqcm", "--set", "trio"],
+        ["optimize", "--set", "trio", "--restarts", "2"],
+        ["scan", "--resolution", "8"],
+        ["nclone", "--n", "2", "--restarts", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_no_command_loads_numpy_random(argv):
+    # each command in a fresh interpreter: the starts and the self-check
+    # phases come from the package's own counter-based stream
+    script = textwrap.dedent(
+        f"""
+        import contextlib, io, sys
+        import clonebench.cli as cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main({argv!r}) == 0
+        assert "numpy.random" not in sys.modules
+        """
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_parser_reuse_keeps_no_state(tmp_path, capsys):
     cli.build_parser.cache_clear()
     plain = ["optimize", "--set", "trio", "--restarts", "1"]

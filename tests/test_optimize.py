@@ -159,7 +159,7 @@ def test_degenerate_draws_evaluate_to_inf(c0, c1):
     with pytest.raises(DegenerateColumnsError):
         optimize_module._columns_from_params(x, 3)
     for mode in ("max_min", "equal_fidelity_penalty"):
-        value, grad = optimize_module._search_objective(x[None], forms[None], 3, mode)
+        value, grad, *_ = optimize_module._search_objective(x[None], forms[None], 3, mode)
         np.testing.assert_array_equal(value, [math.inf])
         np.testing.assert_array_equal(grad, np.zeros((1, 12)))
 
@@ -194,7 +194,7 @@ def test_search_objective_is_the_smoothed_objective_of_the_fidelities(
     for sharpness in (optimize_module.SMOOTH_SHARPNESS, 5e4):
         # one batch of 20 rows, each checked against its own fidelities
         x = rng.standard_normal((20, 4 * d)) * rng.uniform(0.1, 10.0, (20, 1))
-        value, grad = optimize_module._search_objective(x, forms[None], d, mode, sharpness)
+        value, grad, *_ = optimize_module._search_objective(x, forms[None], d, mode, sharpness)
         assert value.shape == (20,) and grad.shape == x.shape
         for row, v in zip(x, value):
             fids = fidelities(forms, optimize_module._columns_from_params(row, d))
@@ -264,11 +264,13 @@ def rosenbrock(x):
 
 def batched(*funs):
     """The descent objective of a batch whose member i minimizes funs[i],
-    a function of one point returning (value, gradient)."""
+    a function of one point returning (value, gradient). Every point is its
+    own canonical point."""
 
     def fun(x, idx):
         values, grads = zip(*(funs[i](row) for i, row in zip(idx, x)))
-        return np.array(values, dtype=float), np.array(grads, dtype=float)
+        grads = np.array(grads, dtype=float)
+        return np.array(values, dtype=float), grads, x, grads
 
     return fun
 
@@ -408,6 +410,15 @@ def recorded_minimize(monkeypatch):
     return calls
 
 
+def assert_orthonormal_columns(rows):
+    """Each row, read as the 4 x d matrix [Re c0, Re c1, Im c0, Im c1], has
+    orthonormal complex columns c0 and c1: |Q^dag Q - I| <= 1e-12."""
+    for row in rows:
+        m = row.reshape(4, -1)
+        c = m[:2] + 1j * m[2:]
+        np.testing.assert_allclose(c.conj() @ c.T, np.eye(2), rtol=0.0, atol=1e-12)
+
+
 def assert_search_gradient_matches_central_differences(recorded_minimize, input_set, cfg):
     optimize(input_set, cfg)
     fun = recorded_minimize[0].fun
@@ -416,10 +427,14 @@ def assert_search_gradient_matches_central_differences(recorded_minimize, input_
     # three members in one batch
     x = rng.standard_normal((3, recorded_minimize[0].x0.shape[1]))
     idx = np.arange(3)
-    _, grad = fun(x, idx)
+    _, grad, y, grad_y = fun(x, idx)
     steps = np.eye(x.shape[1]) * h
     central = np.array([(fun(x + e, idx)[0] - fun(x - e, idx)[0]) / (2.0 * h) for e in steps]).T
     np.testing.assert_allclose(grad, central, rtol=0.0, atol=1e-7)
+    # and the canonical point's gradient, at that point
+    assert_orthonormal_columns(y)
+    central = np.array([(fun(y + e, idx)[0] - fun(y - e, idx)[0]) / (2.0 * h) for e in steps]).T
+    np.testing.assert_allclose(grad_y, central, rtol=0.0, atol=1e-7)
 
 
 @pytest.mark.parametrize("mode", ["max_min", "equal_fidelity_penalty"])
@@ -462,11 +477,11 @@ def test_stacked_kernel_gradient_matches_central_differences_beside_a_degenerate
     live = [0, 1, 3]
     h = 1e-6
     for mode in ("max_min", "equal_fidelity_penalty"):
-        value, grad = optimize_module._search_objective(x, forms, 3, mode)
+        value, grad, *_ = optimize_module._search_objective(x, forms, 3, mode)
         assert value[2] == math.inf
         np.testing.assert_array_equal(grad[2], np.zeros(12))
         # the other members are evaluated bit for bit as in a batch without it
-        alone, alone_grad = optimize_module._search_objective(x[live], forms, 3, mode)
+        alone, alone_grad, *_ = optimize_module._search_objective(x[live], forms, 3, mode)
         assert value[live].tobytes() == alone.tobytes()
         assert grad[live].tobytes() == alone_grad.tobytes()
         central = np.array([
@@ -488,7 +503,7 @@ def test_a_stack_of_problems_evaluates_each_row_on_its_own_forms():
     x = rng.standard_normal((9, 12))
     problem = np.arange(9) // 3
     for mode in ("max_min", "equal_fidelity_penalty"):
-        value, grad = optimize_module._search_objective(x, forms, 3, mode, idx=np.arange(9), width=3)
+        value, grad, *_ = optimize_module._search_objective(x, forms, 3, mode, idx=np.arange(9), width=3)
         for i in range(9):
             # a lone row, on its problem's forms alone or in the layout, is
             # evaluated bit for bit as in the full batch
@@ -516,7 +531,7 @@ def test_a_stack_of_problems_evaluates_each_row_on_its_own_forms():
         np.testing.assert_allclose(polish[1], grad[::3], rtol=0.0, atol=1e-13)
         # rows 1, 2, 4 and 8 have left the batch: the rest go through the padded layout
         left = [0, 3, 5, 6, 7]
-        part, part_grad = optimize_module._search_objective(
+        part, part_grad, *_ = optimize_module._search_objective(
             x[left], forms, 3, mode, idx=np.array(left), width=3
         )
         assert part.tobytes() == value[left].tobytes()
@@ -552,6 +567,76 @@ def test_local_searches_stop_far_below_the_iteration_cap(recorded_minimize, sear
     assert max(rec.res.nit.max() for rec in recorded_minimize) < 600
 
 
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda: scan_equator(9),
+        lambda: optimize(tetrahedron(), OptimizationConfig(restarts=5, ancilla_dim=2)),
+        lambda: optimize_n(OptimizationConfig(copies=3, restarts=5)),
+    ],
+    ids=["scan-9", "tetrahedron-ancilla-2", "optimize_n-3"],
+)
+def test_accepted_iterates_have_orthonormal_columns(monkeypatch, search):
+    # the descent moves to the canonical points the objective returns, so every
+    # accepted iterate, and each member's final x, is one of them
+    minimize, descents = optimize_module.minimize, []
+
+    def recording(fun, x0, **kwargs):
+        returned = [set() for _ in x0]
+
+        def canonical(x, idx):
+            out = fun(x, idx)
+            live = np.isfinite(out[0])
+            assert_orthonormal_columns(out[2][live])
+            for i, y in zip(idx[live], out[2][live]):
+                returned[i].add(y.tobytes())
+            return out
+
+        res = minimize(canonical, x0, **kwargs)
+        for i in np.flatnonzero(res.nit):
+            assert res.x[i].tobytes() in returned[i]
+        descents.append(res)
+        return res
+
+    monkeypatch.setattr(optimize_module, "minimize", recording)
+    search()
+    assert descents and all(res.nit.any() for res in descents)
+
+
+def test_streams_are_deterministic():
+    keys = [(0,), (5,), (2**31 - 1,), (2**64 + 5,)]
+    first = optimize_module._starts(keys, 6, 12)
+    assert first.shape == (4, 6, 12)
+    assert first.tobytes() == optimize_module._starts(keys, 6, 12).tobytes()
+    # distinct keys draw distinct starts; components are folded in mod 2^64
+    assert len({draws.tobytes() for draws in first[:3]}) == 3
+    assert first[3].tobytes() == first[1].tobytes()
+
+
+def test_more_or_longer_draws_leave_the_earlier_ones():
+    short = optimize_module._starts([(3, 17)], 8, 12)
+    assert optimize_module._starts([(3, 17)], 20, 12)[:, :8].tobytes() == short.tobytes()
+    assert optimize_module._starts([(3, 17)], 8, 16)[:, :, :12].tobytes() == short.tobytes()
+
+
+def test_a_batch_of_streams_draws_as_each_stream_alone():
+    keys = [(3, c) for c in (0, 1, 2, 9, 40)]
+    batch = optimize_module._starts(keys, 8, 12)
+    for key, draws in zip(keys, batch):
+        assert optimize_module._starts([key], 8, 12)[0].tobytes() == draws.tobytes()
+
+
+def test_stream_draws_have_standard_normal_moments():
+    z = optimize_module._starts([(seed,) for seed in range(100)], 200, 10).ravel()
+    assert z.size == 200_000
+    # bounds of about 4.5 standard errors at this size
+    assert abs(z.mean()) < 0.01
+    assert abs(z.std() - 1.0) < 0.008
+    assert abs(np.mean(z**4) - 3.0) < 0.1
+    # the 32-bit radius keeps every draw finite
+    assert np.isfinite(z).all() and np.abs(z).max() < 7.0
+
+
 def test_optimize_trio_small_budget():
     res = optimize(equatorial_trio(), SMALL)
     assert res.objective == pytest.approx(F_PHASE, abs=1e-4)
@@ -583,7 +668,7 @@ def test_the_first_of_tied_starts_wins(monkeypatch):
     # bit-identical: the two starts tie exactly
     embed = optimize_module._sym_embedding(2, 1)
     forms = optimize_module._copy_forms(np.column_stack(equatorial_trio().states()), embed, 2, 1)[None]
-    starts = optimize_module._starts((0,), SMALL.restarts, 12)[None]
+    starts = optimize_module._starts([(0,)], SMALL.restarts, 12)
     x = optimize_module._search(forms, 3, SMALL, starts)[0][0]
     values = []
 
@@ -614,8 +699,8 @@ def test_optimize_n_small_budget():
     # columns the search found, to the two roundings of reading them back
     assert len(res.per_state_fidelities) == 3 * 3
     forms = optimize_module._copy_forms(np.column_stack(equatorial_trio().states()), sym_basis(3), 3, 1)
-    starts = optimize_module._starts((cfg.seed,), cfg.restarts, 16)
-    best_x = optimize_module._search(forms[None], 4, cfg, starts[None])[0][0]
+    starts = optimize_module._starts([(cfg.seed,)], cfg.restarts, 16)
+    best_x = optimize_module._search(forms[None], 4, cfg, starts)[0][0]
     q = symmetric_coefficients(res.best)
     np.testing.assert_allclose(q, optimize_module._columns_from_params(best_x, 4), rtol=0.0, atol=2.3e-16)
     # and the reported fidelities are that machine's
@@ -730,14 +815,14 @@ def test_scan_searches_once_per_orbit(fake_search, resolution, orbits):
     starts = np.concatenate(fake_search)
     assert len(starts) == orbits
     # each orbit is searched at its first cell in row-major order, with 8
-    # starts from that cell's stream (seed, cell index, r)
+    # starts, draws 0..7 of that cell's stream (seed, cell index)
     firsts = {}
     for i in range(resolution):
         for j in range(resolution):
             firsts.setdefault(grid.fidelity[i, j], i * resolution + j)
     for k in range(orbits):
-        expected = [np.random.default_rng([3, firsts[k + 1.0], r]).standard_normal(12) for r in range(8)]
-        assert starts[k].tobytes() == np.array(expected).tobytes()
+        expected = optimize_module._starts([(3, firsts[k + 1.0])], 8, 12)[0]
+        assert starts[k].tobytes() == expected.tobytes()
 
 
 def test_scan_progress_fires_per_cell_in_row_major_order(fake_search):
