@@ -27,29 +27,30 @@ def _descend(fun, x0, ftol: float = 1e-6, gtol: float = 1e-5) -> _Descent:
     """BFGS from every row of x0 in lockstep (Nocedal & Wright, Numerical
     Optimization, 2006: Alg. 6.1 with the backtracking of Alg. 3.1).
 
-    `fun(x, idx)` returns values (k,) and gradients (k, n) at the rows of x,
-    the batch members idx, then each row's canonical point, a point of equal
-    value, and the gradient there (x and the gradients again for an objective
-    without invariances). An accepted step moves a member to its trial
-    point's canonical point, a retraction (Absil, Mahony & Sepulchre,
-    Optimization Algorithms on Matrix Manifolds, 2008, 4.1) that keeps it
-    from drifting along the objective's flat directions. The BFGS pair stays
-    the raw step's, s = x_new - x and y = g(x_new) - g(x); the next direction
-    and the gtol test take the canonical gradient. Each round evaluates every
-    running member once; a member that stops leaves the batch. Each keeps the
-    serial rules: H starts as (s.y / y.y) I after the first step, along
-    -g/|g|; an update with s.y <= 1e-12 y.y is skipped; -g replaces a -Hg that
-    does not descend. A step backtracks from t = 1 to the Armijo condition by
-    the parabola clamped to [0.1 t, 0.5 t], or halves where the value is not
-    finite or x + t p rounds to x. A member converges when max|g| <= gtol or a
-    step lowers its value by at most ftol * max(|f_k|, |f_k+1|, 1) (scipy's
-    L-BFGS-B tests); it fails at a non-finite start, a step below MIN_STEP or
-    MAX_ITERS steps."""
+    `fun(x, idx)` returns values (k,) at the rows of x, the batch members idx,
+    each row's canonical point, a point of equal value, and the gradient (k, n)
+    there (x itself for an objective without invariances). The first
+    evaluation moves every start to its canonical point, and an accepted step
+    a member to its trial point's: a retraction (Absil, Mahony & Sepulchre,
+    Optimization Algorithms on Matrix Manifolds, 2008, 4.1) that keeps it from
+    drifting along the objective's flat directions. The BFGS pair is the raw
+    step s = x_new - x with y the change of the gradient between the two
+    canonical points (Huang, Gallivan & Absil, SIAM J. Optim. 25, 1660, 2015).
+    Each round evaluates every running member once; a member that stops leaves
+    the batch. Each keeps the serial rules: H starts as (s.y / y.y) I after the
+    first step, along -g/|g|; an update with s.y <= 1e-12 y.y is skipped; -g
+    replaces a -Hg that does not descend. A step backtracks from t = 1 to the
+    Armijo condition by the parabola clamped to [0.1 t, 0.5 t], or halves where
+    the value is not finite or x + t p rounds to x. A member converges when
+    max|g| <= gtol or a step lowers its value by at most ftol * max(|f_k|,
+    |f_k+1|, 1) (scipy's L-BFGS-B tests); it fails at a non-finite start, which
+    it returns as given, a step below MIN_STEP or MAX_ITERS steps."""
     add, where, count = np.add.reduce, np.where, np.count_nonzero
-    x = np.array(x0, dtype=float)
-    k, n = x.shape
+    x0 = np.array(x0, dtype=float)
+    k, n = x0.shape
     idx = np.arange(k)
-    f, g, _, _ = fun(x, idx)
+    f, x, g = fun(x0, idx)
+    x = where(np.isfinite(f)[:, None], x, x0)
     out = _Descent(x.copy(), f.copy(), np.zeros(k, int), np.ones(k, int), np.zeros(k, bool), False)
     h = np.broadcast_to(np.eye(n), (k, n, n)).copy()  # H = I, the step scaled by 1/|g|, until updated
     has_h, nit, p, t, slope = np.zeros(k, bool), np.zeros(k, int), np.zeros_like(x), np.ones(k), np.zeros(k)
@@ -89,7 +90,7 @@ def _descend(fun, x0, ftol: float = 1e-6, gtol: float = 1e-5) -> _Descent:
                 p, slope = where(fresh[:, None], new, p), where(fresh, new_slope, slope)
                 t = where(fresh, 1.0, t)
         x_new = x + t[:, None] * p
-        f_new, g_new, x_ret, g_ret = fun(x_new, idx)
+        f_new, x_ret, g_new = fun(x_new, idx)
         rounds += 1
         s, y = x_new - x, g_new - g
         finite = np.isfinite(f_new)
@@ -105,10 +106,10 @@ def _descend(fun, x0, ftol: float = 1e-6, gtol: float = 1e-5) -> _Descent:
             t = where(finite & ~armijo, np.minimum(np.maximum(t_par, 0.1 * t), 0.5 * t), 0.5 * t)
             failed = ~accept & (t < MIN_STEP)
             moved = accept[:, None]
-            x_ret, g_ret, f_new = where(moved, x_ret, x), where(moved, g_ret, g), where(accept, f_new, f)
+            x_ret, g_new, f_new = where(moved, x_ret, x), where(moved, g_new, g), where(accept, f_new, f)
         # max(|f|, |f_new|) is max(f, -f_new) where f_new <= f
         stop = accept & (f - f_new <= ftol * np.maximum(np.maximum(f, -f_new), 1.0))
-        x, g, f = x_ret, g_ret, f_new
+        x, g, f = x_ret, g_new, f_new
         nit += accept
         conv = accept & (np.maximum.reduce(np.abs(g), 1) <= gtol)
         if rounds >= MAX_ITERS:

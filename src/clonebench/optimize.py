@@ -8,10 +8,11 @@ every iterate is a valid isometry. Every copy fidelity is a Hermitian form
 in the columns (Fiurasek, PRA 64, 062310, 2001): F_n = y^T R_n y, with y the
 real and imaginary parts of the stacked columns. `_search_objective`
 evaluates a batch of parameter rows, one numpy call per step for the whole
-batch, and `_descend` runs BFGS from every row in lockstep. Each accepted
-step lands on its canonical point, the orthonormal columns Y, so no descent
-drifts along the column scales or c1's part along c0, which leave the value
-unchanged. The hard min is smoothed with a log-sum-exp and re-evaluated exactly.
+batch, and `_descend` runs BFGS from every row in lockstep. Every start and
+accepted step lands on its canonical point, the orthonormal columns Y, where
+the one gradient is taken, so no descent drifts along the column scales or
+c1's part along c0, which leave the value unchanged. The hard min is smoothed
+with a log-sum-exp and re-evaluated exactly.
 
 OptimizationConfig sets restarts, the exploration tolerance, the objective
 mode, the parameterization (symmetric, ancilla_dim, copies) and the seed,
@@ -164,11 +165,10 @@ def _stack(*columns) -> np.ndarray:
 def _gram_schmidt(x: np.ndarray, d: int):
     """Gram-Schmidt on the raw columns of each row of x read as the 4 x d matrix
     X with rows Re c0, Re c1, Im c0, Im c1: q0 = c0 / n0 and q1 = (c1 - gamma
-    c0) / n1, gamma = c0^dag c1 / |c0|^2 = a + ib, come back as Y = M X. q1 is
-    orthogonalized in two passes, each from its own input's Gram matrix, so it
-    stays orthogonal for nearly parallel columns. Returns X, Y, the columns
-    (1/n0, 1/n1, a, b) and which rows are degenerate (a zero first column or
-    parallel columns; those get finite placeholders)."""
+    c0) / n1, gamma = c0^dag c1 / |c0|^2 = a + ib. q1 is orthogonalized in two
+    passes, each from its own input's Gram matrix, so it stays orthogonal for
+    nearly parallel columns. Returns Y, q in X's layout, where the search takes
+    its gradient, and which rows are degenerate: zero or parallel columns."""
     xm = x.reshape(-1, 4, d)
     k = len(xm)
     nn0, re, im = _columns(np.matmul(xm, xm.swapaxes(1, 2)).reshape(k, 16) @ _GRAM)
@@ -184,7 +184,7 @@ def _gram_schmidt(x: np.ndarray, d: int):
     bad = np.logical_not(live & (nn1 > 1e-20)).reshape(k)
     r0, r1 = 1.0 / np.sqrt(nn0), 1.0 / np.sqrt(nn1 + (nn1 <= 1e-20))
     ym = np.matmul((_stack(r0, r1, a2 * r1, b2 * r1) @ _PASS2).reshape(k, 4, 4), w)
-    return xm, ym, (r0, r1, a + a2, b + b2), bad
+    return ym, bad
 
 
 def _columns_from_params(params: np.ndarray, d: int) -> np.ndarray:
@@ -192,7 +192,7 @@ def _columns_from_params(params: np.ndarray, d: int) -> np.ndarray:
     x = np.asarray(params, dtype=float)
     if x.size != 4 * d:
         raise ValueError(f"expected {4 * d} parameters, got {x.size}")
-    _, ym, _, bad = _gram_schmidt(x, d)
+    ym, bad = _gram_schmidt(x, d)
     if bad[0]:
         raise DegenerateColumnsError("raw columns are zero or numerically parallel")
     return (ym[0, :2] + 1j * ym[0, 2:]).T
@@ -247,7 +247,7 @@ def _fidelity_stack(x: np.ndarray, forms: np.ndarray, d: int, idx=None, width=No
     which does not depend on the other rows or their number, or a matrix-vector
     one in a one-slot layout. Rows of one problem take the same product with its
     forms directly, a lone row in a wider layout padded to two rows."""
-    xm, ym, scalars, bad = _gram_schmidt(x, d)
+    ym, bad = _gram_schmidt(x, d)
     k, n = len(ym), 4 * d
     y = ym.reshape(k, n)
     if idx is None:
@@ -260,20 +260,12 @@ def _fidelity_stack(x: np.ndarray, forms: np.ndarray, d: int, idx=None, width=No
         pad[idx] = y
         ry = np.matmul(pad.reshape(len(forms), width, n), forms).reshape(len(pad), -1)[idx]
     ry = ry.reshape(k, -1, n)
-    return xm, ym, scalars, bad, ry, np.matmul(ry, y[:, :, None])[:, :, 0]
+    return ym, bad, ry, np.matmul(ry, y[:, :, None])[:, :, 0]
 
 
-# [M^T | K] of the gradient pullback, from (r0, r1, a r1, b r1, k00, k01, k03, k11)
-_PULLBACK = _pattern(
-    "r0 r1 a b k00 k01 k03 k11",
-    "r0 -a 0 -b k00 k01 0 k03",
-    "0 r1 0 0 k01 k11 -k03 0",
-    "0 b r0 -a 0 -k03 k00 k01",
-    "0 0 0 r1 k03 0 k01 k11",
-)
 # the sums of Re g_i^dag q_j that the derivatives in n0, n1 and gamma need, from G Y^T
 _PSUMS = _pattern("p0 p1 pr pi", "p0 0 0 0", "pr p1 pi 0", "0 0 p0 0", "-pi 0 pr p1").T
-# K at r0 = r1 = 1, a = b = 0, where X = Y and M = I, from the p-sums
+# K of the gradient G + K Y at Y, where r0 = r1 = 1 and a = b = 0, from the p-sums
 _TANGENT = _pattern("p0 p1 pr pi", "-p0 -pr 0 pi", "-pr -p1 -pi 0", "0 -pi -p0 -pr", "pi 0 -pr -p1")
 
 
@@ -281,16 +273,16 @@ def _search_objective(
     x: np.ndarray, forms: np.ndarray, d: int, mode: str, sharpness: float = SMOOTH_SHARPNESS,
     idx=None, width=None,
 ):
-    """The negated smoothed objective (k,) and its gradient (k, 4d) at each
-    row of x, or (inf, zeros) at a degenerate row, then each row's canonical
-    point, its orthonormal columns Y, with the gradient there; forms, idx and
+    """The negated smoothed objective (k,) at each row of x, each row's
+    canonical point, its orthonormal columns Y (k, 4d), and the objective's
+    gradient there (k, 4d), or (inf, zeros) at a degenerate row; forms, idx and
     width as in _fidelity_stack. max-min is smoothed by the softmin of the
-    given sharpness. The gradient in y, G = 2 sum_n w_n R_n y, pulls back to X
-    as M^T G + K X, where the symmetric 4 x 4 K carries the change of (n0, n1,
-    gamma) through the Gram matrix of X; [M^T | K] is a _pattern product. At Y
-    itself M = I, and the gradient is G + K Y."""
-    xm, ym, (r0, r1, a, b), bad, ry, fids = _fidelity_stack(x, forms, d, idx, width)
-    k, add = len(xm), np.add.reduce
+    given sharpness. The gradient in y, G = 2 sum_n w_n R_n y, pulls back
+    through the Gram-Schmidt, which is the identity at Y, as G + K Y: the
+    symmetric 4 x 4 K carries the change of (n0, n1, gamma) through the Gram
+    matrix of Y."""
+    ym, bad, ry, fids = _fidelity_stack(x, forms, d, idx, width)
+    k, add = len(ym), np.add.reduce
     if mode == "max_min":
         lo = np.minimum.reduce(fids, 1, keepdims=True)
         e = np.exp((lo - fids) * sharpness)
@@ -305,19 +297,11 @@ def _search_objective(
         e = dev * (4.0 * PENALTY_WEIGHT / m) - 2.0 / m
     gm = np.matmul(e[:, None, :], ry).reshape(k, 4, d)
     psums = np.matmul(gm, ym.swapaxes(1, 2)).reshape(k, 16) @ _PSUMS
-    p0, p1, pr, pi = _columns(psums)
-    # the value's derivatives in n0 and n1, over n0 and n1, and the one in
-    # gamma (tr + i ti) over n0^2
-    dn0, dn1, tr, ti = -p0 * r0, -p1 * r1, -pr * r0 * r1, -pi * r0 * r1
-    k11 = dn1 * r1
-    k00 = dn0 * r0 - 2.0 * (tr * a - ti * b) + k11 * (a * a + b * b)
-    coef = _stack(r0, r1, a * r1, b * r1, k00, tr - k11 * a, -ti - k11 * b, k11)
-    grad = np.matmul((coef @ _PULLBACK).reshape(k, 4, 8), np.concatenate((gm, xm), axis=1)).reshape(k, -1)
-    grad_y = (gm + np.matmul((psums @ _TANGENT).reshape(k, 4, 4), ym)).reshape(k, -1)
+    grad = (gm + np.matmul((psums @ _TANGENT).reshape(k, 4, 4), ym)).reshape(k, -1)
     value = -value[:, 0]
     if np.count_nonzero(bad):
         value[bad], grad[bad] = math.inf, 0.0
-    return value, grad, ym.reshape(k, -1), grad_y
+    return value, ym.reshape(k, -1), grad
 
 
 # ---------------------------------------------------------------------------

@@ -159,7 +159,7 @@ def test_degenerate_draws_evaluate_to_inf(c0, c1):
     with pytest.raises(DegenerateColumnsError):
         optimize_module._columns_from_params(x, 3)
     for mode in ("max_min", "equal_fidelity_penalty"):
-        value, grad, *_ = optimize_module._search_objective(x[None], forms[None], 3, mode)
+        value, _, grad = optimize_module._search_objective(x[None], forms[None], 3, mode)
         np.testing.assert_array_equal(value, [math.inf])
         np.testing.assert_array_equal(grad, np.zeros((1, 12)))
 
@@ -194,7 +194,7 @@ def test_search_objective_is_the_smoothed_objective_of_the_fidelities(
     for sharpness in (optimize_module.SMOOTH_SHARPNESS, 5e4):
         # one batch of 20 rows, each checked against its own fidelities
         x = rng.standard_normal((20, 4 * d)) * rng.uniform(0.1, 10.0, (20, 1))
-        value, grad, *_ = optimize_module._search_objective(x, forms[None], d, mode, sharpness)
+        value, _, grad = optimize_module._search_objective(x, forms[None], d, mode, sharpness)
         assert value.shape == (20,) and grad.shape == x.shape
         for row, v in zip(x, value):
             fids = fidelities(forms, optimize_module._columns_from_params(row, d))
@@ -269,8 +269,7 @@ def batched(*funs):
 
     def fun(x, idx):
         values, grads = zip(*(funs[i](row) for i, row in zip(idx, x)))
-        grads = np.array(grads, dtype=float)
-        return np.array(values, dtype=float), grads, x, grads
+        return np.array(values, dtype=float), x, np.array(grads, dtype=float)
 
     return fun
 
@@ -427,14 +426,12 @@ def assert_search_gradient_matches_central_differences(recorded_minimize, input_
     # three members in one batch
     x = rng.standard_normal((3, recorded_minimize[0].x0.shape[1]))
     idx = np.arange(3)
-    _, grad, y, grad_y = fun(x, idx)
-    steps = np.eye(x.shape[1]) * h
-    central = np.array([(fun(x + e, idx)[0] - fun(x - e, idx)[0]) / (2.0 * h) for e in steps]).T
-    np.testing.assert_allclose(grad, central, rtol=0.0, atol=1e-7)
-    # and the canonical point's gradient, at that point
+    # the gradient is the canonical point's, taken at that point
+    _, y, grad = fun(x, idx)
     assert_orthonormal_columns(y)
+    steps = np.eye(x.shape[1]) * h
     central = np.array([(fun(y + e, idx)[0] - fun(y - e, idx)[0]) / (2.0 * h) for e in steps]).T
-    np.testing.assert_allclose(grad_y, central, rtol=0.0, atol=1e-7)
+    np.testing.assert_allclose(grad, central, rtol=0.0, atol=1e-7)
 
 
 @pytest.mark.parametrize("mode", ["max_min", "equal_fidelity_penalty"])
@@ -477,16 +474,19 @@ def test_stacked_kernel_gradient_matches_central_differences_beside_a_degenerate
     live = [0, 1, 3]
     h = 1e-6
     for mode in ("max_min", "equal_fidelity_penalty"):
-        value, grad, *_ = optimize_module._search_objective(x, forms, 3, mode)
+        value, y, grad = optimize_module._search_objective(x, forms, 3, mode)
         assert value[2] == math.inf
         np.testing.assert_array_equal(grad[2], np.zeros(12))
         # the other members are evaluated bit for bit as in a batch without it
-        alone, alone_grad, *_ = optimize_module._search_objective(x[live], forms, 3, mode)
+        alone, alone_y, alone_grad = optimize_module._search_objective(x[live], forms, 3, mode)
         assert value[live].tobytes() == alone.tobytes()
+        assert y[live].tobytes() == alone_y.tobytes()
         assert grad[live].tobytes() == alone_grad.tobytes()
+        # each gradient is taken at the member's canonical point
+        assert_orthonormal_columns(y[live])
         central = np.array([
-            (optimize_module._search_objective(x[live] + e, forms, 3, mode)[0]
-             - optimize_module._search_objective(x[live] - e, forms, 3, mode)[0]) / (2.0 * h)
+            (optimize_module._search_objective(y[live] + e, forms, 3, mode)[0]
+             - optimize_module._search_objective(y[live] - e, forms, 3, mode)[0]) / (2.0 * h)
             for e in np.eye(12) * h
         ]).T
         np.testing.assert_allclose(grad[live], central, rtol=0.0, atol=1e-7)
@@ -503,7 +503,7 @@ def test_a_stack_of_problems_evaluates_each_row_on_its_own_forms():
     x = rng.standard_normal((9, 12))
     problem = np.arange(9) // 3
     for mode in ("max_min", "equal_fidelity_penalty"):
-        value, grad, *_ = optimize_module._search_objective(x, forms, 3, mode, idx=np.arange(9), width=3)
+        value, _, grad = optimize_module._search_objective(x, forms, 3, mode, idx=np.arange(9), width=3)
         for i in range(9):
             # a lone row, on its problem's forms alone or in the layout, is
             # evaluated bit for bit as in the full batch
@@ -514,7 +514,7 @@ def test_a_stack_of_problems_evaluates_each_row_on_its_own_forms():
                 optimize_module._search_objective(x[i : i + 1], forms, 3, mode, idx=np.array([i]), width=3),
             ):
                 assert one[0].tobytes() == value[i : i + 1].tobytes()
-                assert one[1].tobytes() == grad[i : i + 1].tobytes()
+                assert one[2].tobytes() == grad[i : i + 1].tobytes()
         # one slot per problem, as in a polish: each row as when alone
         polish = optimize_module._search_objective(x[::3], forms, 3, mode, idx=np.arange(3), width=1)
         for j in range(3):
@@ -523,15 +523,15 @@ def test_a_stack_of_problems_evaluates_each_row_on_its_own_forms():
                 x[3 * j : 3 * j + 3], forms[j][None], 3, mode, idx=np.arange(3), width=3
             )
             assert own[0].tobytes() == value[3 * j : 3 * j + 3].tobytes()
-            assert own[1].tobytes() == grad[3 * j : 3 * j + 3].tobytes()
+            assert own[2].tobytes() == grad[3 * j : 3 * j + 3].tobytes()
             one = optimize_module._search_objective(x[3 * j : 3 * j + 1], forms[j][None], 3, mode)
             assert one[0].tobytes() == polish[0][j : j + 1].tobytes()
-            assert one[1].tobytes() == polish[1][j : j + 1].tobytes()
+            assert one[2].tobytes() == polish[2][j : j + 1].tobytes()
         np.testing.assert_allclose(polish[0], value[::3], rtol=0.0, atol=1e-14)
-        np.testing.assert_allclose(polish[1], grad[::3], rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(polish[2], grad[::3], rtol=0.0, atol=1e-13)
         # rows 1, 2, 4 and 8 have left the batch: the rest go through the padded layout
         left = [0, 3, 5, 6, 7]
-        part, part_grad, *_ = optimize_module._search_objective(
+        part, _, part_grad = optimize_module._search_objective(
             x[left], forms, 3, mode, idx=np.array(left), width=3
         )
         assert part.tobytes() == value[left].tobytes()
@@ -567,18 +567,34 @@ def test_local_searches_stop_far_below_the_iteration_cap(recorded_minimize, sear
     assert max(rec.res.nit.max() for rec in recorded_minimize) < 600
 
 
+def descend_from_a_scaled_optimum():
+    # twice the raw parameters of a minimizer: that start converges before its
+    # first step, beside a random start that descends
+    forms = optimize_module._copy_forms(
+        np.column_stack(equatorial_trio().states()), optimize_module._sym_embedding(2, 1), 2, 1
+    )[None]
+
+    def fun(x, idx):
+        return optimize_module._search_objective(x, forms, 3, "max_min", idx=idx, width=2)
+
+    x = optimize_module._descend(fun, optimize_module._starts([(0,)], 1, 12)[0], ftol=1e-15, gtol=1e-12).x[0]
+    optimize_module.minimize(fun, np.stack([2.0 * x, optimize_module._starts([(1,)], 1, 12)[0, 0]]))
+
+
 @pytest.mark.parametrize(
     "search",
     [
         lambda: scan_equator(9),
         lambda: optimize(tetrahedron(), OptimizationConfig(restarts=5, ancilla_dim=2)),
         lambda: optimize_n(OptimizationConfig(copies=3, restarts=5)),
+        descend_from_a_scaled_optimum,
     ],
-    ids=["scan-9", "tetrahedron-ancilla-2", "optimize_n-3"],
+    ids=["scan-9", "tetrahedron-ancilla-2", "optimize_n-3", "scaled-optimum"],
 )
 def test_accepted_iterates_have_orthonormal_columns(monkeypatch, search):
-    # the descent moves to the canonical points the objective returns, so every
-    # accepted iterate, and each member's final x, is one of them
+    # the descent moves each start and every accepted iterate to the canonical
+    # points the objective returns, so each member with a finite value, one
+    # that took no step included, ends on one of them
     minimize, descents = optimize_module.minimize, []
 
     def recording(fun, x0, **kwargs):
@@ -587,13 +603,13 @@ def test_accepted_iterates_have_orthonormal_columns(monkeypatch, search):
         def canonical(x, idx):
             out = fun(x, idx)
             live = np.isfinite(out[0])
-            assert_orthonormal_columns(out[2][live])
-            for i, y in zip(idx[live], out[2][live]):
+            assert_orthonormal_columns(out[1][live])
+            for i, y in zip(idx[live], out[1][live]):
                 returned[i].add(y.tobytes())
             return out
 
         res = minimize(canonical, x0, **kwargs)
-        for i in np.flatnonzero(res.nit):
+        for i in np.flatnonzero(np.isfinite(res.fun)):
             assert res.x[i].tobytes() in returned[i]
         descents.append(res)
         return res
@@ -601,6 +617,26 @@ def test_accepted_iterates_have_orthonormal_columns(monkeypatch, search):
     monkeypatch.setattr(optimize_module, "minimize", recording)
     search()
     assert descents and all(res.nit.any() for res in descents)
+
+
+def test_a_search_descent_returns_a_degenerate_draw_as_given():
+    # the kernel's canonical point of a degenerate draw is a placeholder: the
+    # descent keeps the draw and reports it unconverged, beside a live member
+    forms = optimize_module._copy_forms(
+        np.column_stack(equatorial_trio().states()), optimize_module._sym_embedding(2, 1), 2, 1
+    )[None]
+    c = np.array([1.0, 2.0j, -0.5])
+    x0 = np.stack([
+        raw_params(np.zeros(3), c), raw_params(c, (0.3 - 1.7j) * c), np.random.default_rng(2).standard_normal(12)
+    ])  # fmt: skip
+    for mode in ("max_min", "equal_fidelity_penalty"):
+        res = optimize_module._descend(
+            lambda x, idx: optimize_module._search_objective(x, forms, 3, mode, idx=idx, width=3), x0
+        )
+        assert res.x[:2].tobytes() == x0[:2].tobytes()
+        assert list(res.converged) == [False, False, True] and not res.success
+        assert list(res.fun[:2]) == [math.inf, math.inf] and list(res.nit[:2]) == [0, 0]
+        assert list(res.nfev[:2]) == [1, 1]
 
 
 def test_streams_are_deterministic():
