@@ -17,7 +17,6 @@ import os
 import shlex
 import sys
 import time
-from dataclasses import asdict
 
 from . import __version__
 from .cloners import (
@@ -224,12 +223,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     v = resolve_machine(args.machine)
     input_set = resolve_set(args.set)
-    if v.copies != 2 and not _is_equatorial(input_set):
+    equatorial = _is_equatorial(input_set)
+    if v.copies != 2 and not equatorial:
         raise UsageError(f"machine {args.machine!r} clones equatorial sets only")
+    table = copy_fidelity(v, input_set.points, range(min(v.copies, 2)))
     fidelities = [
-        {"state": s, "copy": k, "fidelity": copy_fidelity(v, input_set.points[s], k)}
-        for s in range(len(input_set))
-        for k in range(min(v.copies, 2))
+        {"state": s, "copy": k, "fidelity": f}
+        for s, row in enumerate(table.tolist())
+        for k, f in enumerate(row)
     ]
     report = constraint_check(v.matrix)
     doc = {
@@ -239,20 +240,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "fidelities": fidelities,
     }
     if not args.machine.startswith("nclone:"):
-        for copy in range(2):
-            d = decompose_equatorial(v, copy=copy)
-            doc[f"decomposition_copy{copy}"] = asdict(d)
+        for copy, d in enumerate(decompose_equatorial(v)):
+            doc[f"decomposition_copy{copy}"] = dict(vars(d))
     # expected closed-form value, when one applies to this machine/set pair
     expected = None
     if args.machine == "uqcm":
         expected = closed_form_bound("universal_1to2")
-    elif _is_equatorial(input_set):
+    elif equatorial:
         expected = closed_form_bound("phase_1ton", v.copies)
     ok = report.passed
     if expected is None:
         doc["bound_comparison"] = "not applicable"
     else:
-        worst = max(abs(f["fidelity"] - expected) for f in fidelities)
+        worst = float(abs(table - expected).max())
         doc["bound_comparison"] = {"expected": expected, "max_deviation": worst}
         ok = ok and worst < VERIFY_TOL
     doc["passed"] = bool(ok)
@@ -294,10 +294,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     res = optimize(input_set, cfg)
     # self-check: every reported fidelity must match an independent
     # reduced-state evaluation of the winning machine (`copy_fidelity`)
-    worst = max(
-        abs(copy_fidelity(res.best, input_set.points[s], k) - f)
-        for s, k, f in res.per_state_fidelities
-    )
+    table = copy_fidelity(res.best, input_set.points, range(res.best.copies))
+    worst = max(abs(table[s, k] - f) for s, k, f in res.per_state_fidelities)
     if worst > SELF_CHECK_TOL:
         print(f"self-check failed: fidelity paths disagree by {worst:.1e}", file=sys.stderr)
         return EXIT_SELF_CHECK
@@ -412,13 +410,9 @@ def cmd_nclone(args: argparse.Namespace) -> int:
     }
     # self-check: the closed form against the `copy_fidelity` oracle at 20
     # phases, draw 0 of the stream (seed, n)
-    delta = max(
-        abs(
-            n_clone_fidelity(res.best, phi)
-            - copy_fidelity(res.best, BlochPoint(math.pi / 2.0, phi), 0)
-        )
-        for phi in (_stream([(args.seed, args.n)], 1, 20)[0, 0] * (TWO_PI * 2.0**-64)).tolist()
-    )
+    phis = _stream([(args.seed, args.n)], 1, 20)[0, 0] * (TWO_PI * 2.0**-64)
+    oracle = copy_fidelity(res.best, [BlochPoint(math.pi / 2.0, phi) for phi in phis.tolist()], [0])
+    delta = float(abs(n_clone_fidelity(res.best, phis) - oracle[:, 0]).max())
     doc["oracle_delta"] = delta
     doc["passed"] = bool(abs(res.objective - bound) < 1e-4 and delta < 1e-10)
     manifest = _manifest(args, {"n": args.n, "restarts": args.restarts}, t0)

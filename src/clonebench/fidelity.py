@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -28,14 +29,19 @@ from .states import TWO_PI, BlochPoint, bloch_to_state
 PSI_UNDEFINED_BELOW = 1e-12  # lambda under this: the phase angle is meaningless
 
 
-def copy_fidelity(v: CloneIsometry, p: BlochPoint, copy: int = 0) -> float:
-    """Overlap <psi| rho_copy |psi> between the input and one copy's reduced
-    state, traced down from the output ket V|psi>."""
-    if not 0 <= copy < v.copies:
-        raise IndexError(f"copy index {copy} out of range for {v.copies} copies")
-    psi = bloch_to_state(p)
-    rho_c = partial_trace(v.matrix @ psi, v.output_dims, [copy])
-    return float(np.real(psi.conj() @ rho_c @ psi))
+def copy_fidelity(v: CloneIsometry, points: Sequence[BlochPoint], copies: Iterable[int]) -> np.ndarray:
+    """Overlaps <psi| rho_copy |psi> between each input and each listed
+    copy's reduced state, traced down from the output ket V|psi>: a
+    (len(points), len(copies)) table from one product for all the output
+    kets and one stacked partial trace per copy."""
+    copies = list(copies)
+    for copy in copies:
+        if not 0 <= copy < v.copies:
+            raise IndexError(f"copy index {copy} out of range for {v.copies} copies")
+    psis = np.array([bloch_to_state(p) for p in points])
+    out = psis @ v.matrix.T
+    rho = np.array([partial_trace(out, v.output_dims, [copy]) for copy in copies])
+    return (psis.conj()[:, None, :] @ rho @ psis[:, :, None])[..., 0, 0].real.T
 
 
 @dataclass(frozen=True)
@@ -68,42 +74,44 @@ def _polar(z: complex) -> tuple[float, float, bool]:
     return mag, cmath.phase(z) % TWO_PI, True
 
 
-def decompose_equatorial(v: CloneIsometry, copy: int = 0) -> FidelityDecomposition:
-    """lambda/psi record of one copy's equatorial fidelity: F at five equally
-    spaced phases has DFT coefficients c_k, and lambda1 = 2|c_2|,
-    lambda2 = 2|c_1|, lambda3 = c_0, psi1 = arg c_2, psi2 = arg c_1."""
+def decompose_equatorial(v: CloneIsometry) -> tuple[FidelityDecomposition, ...]:
+    """lambda/psi record of each copy's equatorial fidelity, in copy order:
+    F at five equally spaced phases has DFT coefficients c_k, and
+    lambda1 = 2|c_2|, lambda2 = 2|c_1|, lambda3 = c_0, psi1 = arg c_2,
+    psi2 = arg c_1."""
     report = constraint_check(v.matrix)
     if not report.passed:
         raise InvalidMachineError(f"constraint residuals too large: {report.as_dict()}")
     phis = np.arange(5) * (TWO_PI / 5.0)
-    f = np.array([copy_fidelity(v, BlochPoint(math.pi / 2.0, p), copy) for p in phis])
-    c = np.exp(-1j * np.outer(np.arange(3), phis)) @ f / 5.0
-    lam1, psi1, ok1 = _polar(complex(2.0 * c[2]))
-    lam2, psi2, ok2 = _polar(complex(2.0 * c[1]))
-    return FidelityDecomposition(lam1, lam2, float(c[0].real), psi1, psi2, ok1, ok2)
+    f = copy_fidelity(v, [BlochPoint(math.pi / 2.0, p) for p in phis], range(v.copies))
+    records = []
+    for c0, c1, c2 in (np.exp(-1j * np.outer(np.arange(3), phis)) @ f / 5.0).T.tolist():
+        lam1, psi1, ok1 = _polar(2.0 * c2)
+        lam2, psi2, ok2 = _polar(2.0 * c1)
+        records.append(FidelityDecomposition(lam1, lam2, c0.real, psi1, psi2, ok1, ok2))
+    return tuple(records)
 
 
 # ---------------------------------------------------------------------------
 # 1 -> n
 
 
-def n_clone_fidelity(v: CloneIsometry, phi: float) -> float:
+def n_clone_fidelity(v: CloneIsometry, phi: float | np.ndarray) -> np.ndarray | float:
     """Closed-form single-copy fidelity of a symmetric 1->n machine on the
-    equatorial input at phase phi, from its (a_i, b_i) coefficients. Reading
-    them builds sym_basis(n) and checks V = S c over all 2^n rows."""
+    equatorial input at phase phi (a float or an array of phases), from its
+    (a_i, b_i) coefficients: 1/2 + 1/2 Re(c0 + c1 e^{i phi} + c2 e^{2 i phi})
+    with weights w_i = sqrt((n - i)(i + 1)) / n. Reading the coefficients
+    builds sym_basis(n) and checks V = S c over all 2^n rows."""
     n = v.copies
     a, b = symmetric_coefficients(v).T
-    eip = cmath.exp(1j * phi)
-    acc = 0.0 + 0.0j
-    for i in range(n):
-        w = math.sqrt((n - i) * (i + 1)) / n
-        acc += w * (
-            a[i] * np.conj(a[i + 1]) * eip
-            + b[i] * np.conj(b[i + 1]) * eip
-            + a[i] * np.conj(b[i + 1])
-            + np.conj(a[i + 1]) * b[i] * eip * eip
-        )
-    return 0.5 + 0.5 * float(np.real(acc))
+    i = np.arange(n)
+    w = np.sqrt((n - i) * (i + 1)) / n
+    c0 = w @ (a[:-1] * b[1:].conj())
+    c1 = w @ (a[:-1] * a[1:].conj() + b[:-1] * b[1:].conj())
+    c2 = w @ (a[1:].conj() * b[:-1])
+    eip = np.exp(1j * np.asarray(phi, dtype=float))
+    val = 0.5 + 0.5 * np.real(c0 + c1 * eip + c2 * eip * eip)
+    return float(val) if val.ndim == 0 else val
 
 
 def closed_form_bound(kind: str, n: int | None = None) -> float:

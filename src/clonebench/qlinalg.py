@@ -15,16 +15,18 @@ class DegenerateColumnsError(ValueError):
 
 
 def partial_trace(psi: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
-    """Reduced density matrix of the pure state `psi` on the factors in `keep`.
+    """Reduced density matrices of the pure states `psi` on the factors in `keep`.
 
-    `dims` are the factor dimensions in order; the result lives on the kept
-    factors in their original order and has trace <psi|psi>. It is M M†, with
-    M the ket reshaped so the kept factors index its rows, so |psi><psi| is
-    never formed.
+    `psi` is one ket or a stack of them, shape (..., D) with D = prod(dims);
+    the result has shape (..., d_keep, d_keep). `dims` are the factor
+    dimensions in order; each result lives on the kept factors in their
+    original order and has trace <psi|psi>. It is M M†, with M the ket
+    reshaped so the kept factors index its rows, so |psi><psi| is never
+    formed.
     """
     psi = np.asarray(psi, dtype=complex)
     dims = [int(d) for d in dims]
-    if psi.shape != (math.prod(dims),):
+    if psi.shape[-1:] != (math.prod(dims),):
         raise ValueError(f"ket shape {psi.shape} does not match dims {dims}")
     k = len(dims)
     keep = sorted({int(i) for i in keep})
@@ -32,8 +34,10 @@ def partial_trace(psi: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> 
         raise ValueError(f"keep={keep} is not a nonempty subset of factor indices 0..{k - 1}")
     traced = [i for i in range(k) if i not in keep]
     d_keep = math.prod(dims[i] for i in keep)
-    m = psi.reshape(dims).transpose(keep + traced).reshape(d_keep, -1)
-    return m @ m.conj().T
+    lead = psi.shape[:-1]
+    axes = [*range(len(lead)), *(len(lead) + i for i in keep + traced)]
+    m = psi.reshape(lead + tuple(dims)).transpose(axes).reshape(*lead, d_keep, psi.shape[-1] // d_keep)
+    return m @ m.conj().swapaxes(-1, -2)
 
 
 def sym_basis(n: int) -> np.ndarray:

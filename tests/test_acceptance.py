@@ -104,20 +104,15 @@ def scan_runs():
 def test_criterion_1_known_machine_exactness():
     t0 = time.perf_counter()
     pqcm = economic_pqcm()
-    worst_p = max(
-        abs(copy_fidelity(pqcm, BlochPoint(math.pi / 2.0, phi), copy) - F_PHASE)
-        for phi in np.linspace(0.0, TWO_PI, 100, endpoint=False)
-        for copy in range(2)
-    )
+    equator = [BlochPoint(math.pi / 2.0, phi) for phi in np.linspace(0.0, TWO_PI, 100, endpoint=False)]
+    worst_p = float(np.abs(copy_fidelity(pqcm, equator, range(2)) - F_PHASE).max())
     u = uqcm()
     rng = np.random.default_rng(0)
-    worst_u = max(
-        abs(copy_fidelity(u, BlochPoint(theta, phi), copy) - F_UNIVERSAL)
-        for theta, phi in zip(
-            rng.uniform(0.0, math.pi, 50), rng.uniform(0.0, TWO_PI, 50)
-        )
-        for copy in range(2)
-    )
+    sphere = [
+        BlochPoint(theta, phi)
+        for theta, phi in zip(rng.uniform(0.0, math.pi, 50), rng.uniform(0.0, TWO_PI, 50))
+    ]
+    worst_u = float(np.abs(copy_fidelity(u, sphere, range(2)) - F_UNIVERSAL).max())
     elapsed = time.perf_counter() - t0
     ok = worst_p < 1e-12 and worst_u < 1e-12 and elapsed < 1.0
     report(
@@ -222,11 +217,10 @@ def test_criterion_8_one_to_n_suite():
         res = optimize_n(OptimizationConfig(copies=n, restarts=restarts[n]))
         bound = closed_form_bound("phase_1ton", n)
         worst_bound = max(worst_bound, abs(res.objective - bound))
-        for phi in rng.uniform(0.0, TWO_PI, 20):
-            delta = abs(
-                n_clone_fidelity(res.best, phi)
-                - copy_fidelity(res.best, BlochPoint(math.pi / 2.0, phi), 0)
-            )
+        phis = rng.uniform(0.0, TWO_PI, 20)
+        oracle = copy_fidelity(res.best, [BlochPoint(math.pi / 2.0, phi) for phi in phis], [0])
+        for phi, f in zip(phis, oracle[:, 0]):
+            delta = abs(n_clone_fidelity(res.best, phi) - f)
             worst_oracle = max(worst_oracle, delta)
     elapsed = time.perf_counter() - t0
     ok = worst_bound < 1e-4 and worst_oracle < 1e-10 and elapsed < 120.0
@@ -249,22 +243,17 @@ def test_criterion_9_decomposition_identity():
     ]
     machines += [optimal_n_cloner(n) for n in range(3, 7)]
     worst = 0.0
+    points = [BlochPoint(math.pi / 2.0, p) for p in phis]
     for v in machines:
-        for copy in range(2):
-            d = decompose_equatorial(v, copy=copy)
-            direct = np.array(
-                [
-                    copy_fidelity(v, BlochPoint(math.pi / 2.0, p), copy)
-                    for p in phis
-                ]
-            )
-            worst = max(worst, float(np.abs(d.evaluate(phis) - direct).max()))
+        direct = copy_fidelity(v, points, range(2))
+        for copy, d in enumerate(decompose_equatorial(v)[:2]):
+            worst = max(worst, float(np.abs(d.evaluate(phis) - direct[:, copy]).max()))
     optimal = [economic_pqcm(), ancilla_pqcm(0.6), ancilla_pqcm(1.0 / math.sqrt(2.0)), uqcm()]
     optimal += [optimal_n_cloner(n) for n in range(3, 7)]
     worst_lam = max(
         max(d.lambda1, d.lambda2)
         for v in optimal
-        for d in (decompose_equatorial(v, copy=c) for c in range(2))
+        for d in decompose_equatorial(v)[:2]
     )
     ok = worst < 1e-10 and worst_lam < 1e-10
     report(

@@ -13,6 +13,7 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,9 @@ from conftest import input_set_json
 
 import clonebench.cli as cli
 from clonebench.cli import main, resolve_machine, resolve_set
-from clonebench.states import equatorial_trio
+from clonebench.cloners import constraint_check
+from clonebench.fidelity import PSI_UNDEFINED_BELOW, closed_form_bound, copy_fidelity
+from clonebench.states import TWO_PI, BlochPoint, equatorial_trio
 
 F_PHASE = 0.5 + math.sqrt(2.0) / 4.0
 
@@ -92,6 +95,92 @@ def test_verify_nclone_on_the_equator(n, capsys):
     doc = json.loads(capsys.readouterr().out)
     jsonschema.validate(doc, load_schema("verify_report.schema.json"))
     assert doc["passed"]
+
+
+def single_point_verify(machine, set_name):
+    """verify's document and exit code rebuilt from one oracle call per
+    (state, copy), with each decomposition read off a 5-point DFT of such
+    calls; the document is None where verify refuses the pair."""
+    v = resolve_machine(machine)
+    input_set = resolve_set(set_name)
+    equatorial = all(abs(p.theta - math.pi / 2.0) < 1e-12 for p in input_set.points)
+    if v.copies != 2 and not equatorial:
+        return None, 2
+
+    def oracle(p, copy):
+        return float(copy_fidelity(v, [p], [copy])[0, 0])
+
+    report = constraint_check(v.matrix)
+    fids = [
+        {"state": s, "copy": k, "fidelity": oracle(p, k)}
+        for s, p in enumerate(input_set.points)
+        for k in range(min(v.copies, 2))
+    ]
+    doc = {
+        "machine": machine,
+        "set": input_set.label,
+        "constraint_residuals": report.as_dict(),
+        "fidelities": fids,
+    }
+    if not machine.startswith("nclone:"):
+        phis = np.arange(5) * (TWO_PI / 5.0)
+        for copy in range(2):
+            f = [oracle(BlochPoint(math.pi / 2.0, phi), copy) for phi in phis]
+            c = np.exp(-1j * np.outer(np.arange(3), phis)) @ f / 5.0
+            lam1, lam2 = float(2.0 * abs(c[2])), float(2.0 * abs(c[1]))
+            ok1, ok2 = lam1 >= PSI_UNDEFINED_BELOW, lam2 >= PSI_UNDEFINED_BELOW
+            doc[f"decomposition_copy{copy}"] = {
+                "lambda1": lam1,
+                "lambda2": lam2,
+                "lambda3": float(c[0].real),
+                "psi1": math.atan2(c[2].imag, c[2].real) % TWO_PI if ok1 else 0.0,
+                "psi2": math.atan2(c[1].imag, c[1].real) % TWO_PI if ok2 else 0.0,
+                "psi1_defined": bool(ok1),
+                "psi2_defined": bool(ok2),
+            }
+    passed = report.passed
+    if machine == "uqcm" or equatorial:
+        kind = "universal_1to2" if machine == "uqcm" else "phase_1ton"
+        expected = closed_form_bound(kind, v.copies)
+        worst = max(abs(f["fidelity"] - expected) for f in fids)
+        doc["bound_comparison"] = {"expected": expected, "max_deviation": worst}
+        passed = passed and worst < cli.VERIFY_TOL
+    else:
+        doc["bound_comparison"] = "not applicable"
+    doc["passed"] = passed
+    return doc, 0 if passed else 3
+
+
+def assert_same_document(got, want, path="doc"):
+    """Same keys in the same order and the same types; floats agree to
+    1e-15, everything else exactly."""
+    assert type(got) is type(want), path
+    if isinstance(want, dict):
+        assert list(got) == list(want), path
+        for key in want:
+            assert_same_document(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same_document(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert abs(got - want) <= 1e-15, (path, got, want)
+    else:
+        assert got == want, path
+
+
+@pytest.mark.parametrize(
+    "machine", ["pqcm-economic", "pqcm-ancilla", "uqcm"] + [f"nclone:{n}" for n in range(1, 11)]
+)
+def test_verify_matches_the_single_point_oracle(machine, capsys):
+    for set_name in ("trio", "bb84", "six-state", "tetrahedron"):
+        want, code = single_point_verify(machine, set_name)
+        assert main(["verify", "--machine", machine, "--set", set_name]) == code
+        out = capsys.readouterr().out
+        if want is None:
+            assert out == ""
+        else:
+            assert_same_document(json.loads(out), want, f"{machine} {set_name}")
 
 
 def test_verify_unknown_names_exit_2(capsys):

@@ -40,24 +40,23 @@ def equatorial(phi):
 
 def test_copy_fidelity_pqcm_is_flat_on_equator():
     v = economic_pqcm()
-    for phi in np.linspace(0.0, TWO_PI, 17, endpoint=False):
-        for copy in range(2):
-            assert abs(copy_fidelity(v, equatorial(phi), copy) - F_PHASE) < 1e-14
+    points = [equatorial(phi) for phi in np.linspace(0.0, TWO_PI, 17, endpoint=False)]
+    assert np.abs(copy_fidelity(v, points, range(2)) - F_PHASE).max() < 1e-14
 
 
 def test_copy_fidelity_uqcm_is_universal():
     v = uqcm()
     rng = np.random.default_rng(11)
-    for _ in range(10):
-        p = BlochPoint(rng.uniform(0.0, math.pi), rng.uniform(0.0, TWO_PI))
-        for copy in range(2):
-            assert abs(copy_fidelity(v, p, copy) - 5.0 / 6.0) < 1e-13
+    points = [BlochPoint(rng.uniform(0.0, math.pi), rng.uniform(0.0, TWO_PI)) for _ in range(10)]
+    assert np.abs(copy_fidelity(v, points, range(2)) - 5.0 / 6.0).max() < 1e-13
 
 
 def test_copy_fidelity_copy_index_range():
     v = economic_pqcm()
     with pytest.raises(IndexError):
-        copy_fidelity(v, equatorial(0.0), 2)
+        copy_fidelity(v, [equatorial(0.0)], [2])
+    with pytest.raises(IndexError):
+        copy_fidelity(v, [equatorial(0.0)], [0, -1])
 
 
 def explicit_copy_fidelity(v, p, copy):
@@ -76,9 +75,11 @@ def random_points(rng, count):
 )
 def test_copy_fidelity_matches_explicit_density_matrix(name):
     v = resolve_machine(name)
-    for p in random_points(np.random.default_rng(31), 4) + [equatorial(0.4)]:
+    points = random_points(np.random.default_rng(31), 4) + [equatorial(0.4)]
+    table = copy_fidelity(v, points, range(v.copies))
+    for s, p in enumerate(points):
         for copy in range(v.copies):
-            assert abs(copy_fidelity(v, p, copy) - explicit_copy_fidelity(v, p, copy)) < 1e-13
+            assert abs(table[s, copy] - explicit_copy_fidelity(v, p, copy)) < 1e-13
 
 
 @pytest.mark.parametrize("copies,ancilla_dim", [(2, 2), (2, 4), (3, 1)])
@@ -87,23 +88,53 @@ def test_copy_fidelity_matches_explicit_density_matrix_on_random_isometries(copi
     for _ in range(5):
         m = random_columns(rng, 2**copies * ancilla_dim)
         v = CloneIsometry(m, copies=copies, ancilla_dim=ancilla_dim)
-        for p in random_points(rng, 4):
+        points = random_points(rng, 4)
+        table = copy_fidelity(v, points, range(copies))
+        for s, p in enumerate(points):
             for copy in range(copies):
-                assert abs(copy_fidelity(v, p, copy) - explicit_copy_fidelity(v, p, copy)) < 1e-13
+                assert abs(table[s, copy] - explicit_copy_fidelity(v, p, copy)) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "maker",
+    [
+        random_economic,
+        random_ancilla,
+        pytest.param(lambda rng: random_ancilla(rng, 4), id="random_ancilla_dim4"),
+        pytest.param(lambda rng: random_symmetric(rng, 5), id="random_symmetric_5"),
+    ],
+)
+def test_one_stacked_call_matches_every_point_and_copy(maker):
+    # repeated points must give repeated rows, and copies may come in any order
+    rng = np.random.default_rng(41)
+    v = maker(rng)
+    fresh = random_points(rng, 5)
+    points = fresh + [fresh[3], equatorial(0.4), fresh[0], equatorial(0.4)]
+    copies = list(range(v.copies))[::-1]
+    table = copy_fidelity(v, points, copies)
+    assert table.shape == (len(points), len(copies))
+    for s, p in enumerate(points):
+        for c, copy in enumerate(copies):
+            assert abs(table[s, c] - explicit_copy_fidelity(v, p, copy)) < 1e-13
 
 
 def test_copy_fidelity_never_forms_the_output_density_matrix():
-    # at n = 10 the output density matrix alone is 1024 x 1024 complex, 16.8 MB
+    # at n = 10 the output density matrix alone is 1024 x 1024 complex, 16.8 MB.
+    # The second case is the nclone self-check's stack of 20 phases, here for
+    # both copies; its measured peak is 0.99 MB: the 20 output kets, their
+    # copy with the kept factor first and its conjugate, 328 KB each, and the
+    # bound leaves a quarter on top
     v = optimal_n_cloner(10)
-    p = equatorial(0.7)
-    copy_fidelity(v, p, 1)
-    tracemalloc.start()
-    try:
-        copy_fidelity(v, p, 1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
+    stack = [equatorial(phi) for phi in np.linspace(0.0, TWO_PI, 20, endpoint=False)]
+    for points, copies, bound in (([equatorial(0.7)], [1], 1_000_000), (stack, [0, 1], 1_250_000)):
+        copy_fidelity(v, points, copies)
+        tracemalloc.start()
+        try:
+            copy_fidelity(v, points, copies)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 @pytest.mark.parametrize(
@@ -128,10 +159,11 @@ def test_decompose_equatorial_matches_density_matrix(maker):
     phis = np.linspace(0.0, TWO_PI, 25, endpoint=False)
     for _ in range(10):
         v = maker(rng)
-        for copy in range(v.copies):
-            d = decompose_equatorial(v, copy=copy)
-            direct = [copy_fidelity(v, equatorial(p), copy) for p in phis]
-            np.testing.assert_allclose(d.evaluate(phis), direct, atol=1e-12)
+        direct = copy_fidelity(v, [equatorial(p) for p in phis], range(v.copies))
+        records = decompose_equatorial(v)
+        assert len(records) == v.copies
+        for copy, d in enumerate(records):
+            np.testing.assert_allclose(d.evaluate(phis), direct[:, copy], atol=1e-12)
 
 
 def test_decompose_rejects_invalid_machine():
@@ -145,8 +177,7 @@ def test_optimal_machines_have_flat_decomposition():
     machines = [economic_pqcm(), ancilla_pqcm(0.6), uqcm()]
     machines += [optimal_n_cloner(n) for n in (3, 4)]
     for v in machines:
-        for copy in range(v.copies):
-            d = decompose_equatorial(v, copy=copy)
+        for d in decompose_equatorial(v):
             assert d.lambda1 < 1e-12
             assert d.lambda2 < 1e-12
             assert not d.psi1_defined
@@ -160,8 +191,21 @@ def test_n_clone_closed_form_matches_bruteforce(n):
     v = random_symmetric(rng, n)
     for phi in rng.uniform(0.0, TWO_PI, 8):
         closed = n_clone_fidelity(v, phi)
-        for copy in range(n):
-            assert abs(closed - copy_fidelity(v, equatorial(phi), copy)) < 1e-12
+        for f in copy_fidelity(v, [equatorial(phi)], range(n))[0]:
+            assert abs(closed - f) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_n_clone_fidelity_over_an_array_equals_its_scalar_values(n):
+    rng = np.random.default_rng(200 + n)
+    v = random_symmetric(rng, n)
+    phis = rng.uniform(0.0, TWO_PI, 12)
+    values = n_clone_fidelity(v, phis)
+    assert values.shape == phis.shape
+    scalars = [n_clone_fidelity(v, phi) for phi in phis]
+    assert all(isinstance(f, float) for f in scalars)
+    np.testing.assert_allclose(values, scalars, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(n_clone_fidelity(v, phis.reshape(3, 4)), values.reshape(3, 4), rtol=0.0, atol=0.0)
 
 
 @pytest.mark.parametrize(

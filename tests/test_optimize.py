@@ -232,7 +232,7 @@ def test_copy_forms_match_the_density_matrix_oracle(symmetric, ancilla_dim, copi
         q = optimize_module._columns_from_params(x, d_eff)
         fids = fidelities(forms, q)
         v = CloneIsometry(embed @ q, copies=copies, ancilla_dim=ancilla_dim)
-        oracle = [copy_fidelity(v, p, copy) for copy in range(copies) for p in points]
+        oracle = copy_fidelity(v, points, range(copies)).T.ravel()
         np.testing.assert_allclose(fids, oracle, rtol=0.0, atol=1e-12)
 
 

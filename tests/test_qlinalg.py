@@ -64,11 +64,34 @@ def test_partial_trace_rejects_bad_shapes():
     with pytest.raises(ValueError):
         partial_trace(np.ones(8) / math.sqrt(8.0), [2, 2], [0])
     with pytest.raises(ValueError):
-        partial_trace(np.eye(4) / 2.0, [2, 2], [0])
+        partial_trace(np.ones((3, 5)) / math.sqrt(5.0), [2, 2], [0])
     with pytest.raises(ValueError):
         partial_trace(bell, [2, 2], [])
     with pytest.raises(ValueError):
         partial_trace(bell, [2, 2], [2])
+
+
+@pytest.mark.parametrize(
+    "dims,keep",
+    [
+        ([2, 2, 2], [0]),
+        ([2, 2, 2], [1]),
+        ([2, 2, 4], [0]),
+        ([2, 2, 4], [1]),
+        ([2, 2, 4], [0, 2]),
+        ([2, 3, 2, 2], [3, 1]),
+    ],
+)
+def test_partial_trace_of_a_stack_matches_each_ket(dims, keep):
+    # ancilla dims 2 and 4 as the last factor, and multi-factor keeps
+    rng = np.random.default_rng(sum(dims) + 10 * len(keep))
+    kets = rng.standard_normal((3, 5, math.prod(dims))) + 1j * rng.standard_normal((3, 5, math.prod(dims)))
+    stacked = partial_trace(kets, dims, keep)
+    d_keep = math.prod(dims[i] for i in keep)
+    assert stacked.shape == (3, 5, d_keep, d_keep)
+    for idx in np.ndindex(3, 5):
+        np.testing.assert_allclose(stacked[idx], partial_trace(kets[idx], dims, keep), rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(stacked[idx], reduced_by_einsum(kets[idx], dims, keep), atol=1e-13)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
