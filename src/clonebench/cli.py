@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import shlex
@@ -24,7 +23,7 @@ from .cloners import (
     ancilla_pqcm,
     constraint_check,
     economic_pqcm,
-    machine_to_json,
+    machine_doc,
     optimal_n_cloner,
     uqcm,
 )
@@ -40,6 +39,7 @@ from .optimize import (
 )
 from .output import UsageError, _check_out, _dumps, _write_outputs
 from .states import (
+    MAX_POINTS,
     TWO_PI,
     BlochPoint,
     InputSet,
@@ -99,8 +99,8 @@ def resolve_set(spec: str) -> InputSet:
             count = int(spec.split(":", 1)[1])
         except ValueError:
             raise UsageError(f"bad equator spec {spec!r}; expected equator:<count>")
-        if not 1 <= count <= 64:
-            raise UsageError(f"equator count {count} outside 1..64")
+        if not 1 <= count <= MAX_POINTS:
+            raise UsageError(f"equator count {count} outside 1..{MAX_POINTS}")
         pts = [BlochPoint(math.pi / 2.0, k * TWO_PI / count) for k in range(count)]
         return custom(pts, label=spec)
     if spec.lstrip().startswith("{"):
@@ -197,19 +197,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     doc = {
         "machine": args.machine,
         "set": input_set.label,
-        "constraint_residuals": report.as_dict(),
+        "constraint_residuals": report,
         "fidelities": fidelities,
     }
     if not args.machine.startswith("nclone:"):
         for copy, d in enumerate(decompose_equatorial(v)):
-            doc[f"decomposition_copy{copy}"] = dict(vars(d))
+            doc[f"decomposition_copy{copy}"] = d
     # expected closed-form value, when one applies to this machine/set pair
     expected = None
     if args.machine == "uqcm":
         expected = closed_form_bound("universal_1to2")
     elif equatorial:
         expected = closed_form_bound("phase_1ton", v.copies)
-    ok = report.passed
+    ok = report["passed"]
     if expected is None:
         doc["bound_comparison"] = "not applicable"
     else:
@@ -367,7 +367,7 @@ def cmd_nclone(args: argparse.Namespace) -> int:
         "parity": "even" if args.n % 2 == 0 else "odd",
         "objective": res.objective,
         "bound": bound,
-        "machine": json.loads(machine_to_json(res.best)),
+        "machine": machine_doc(res.best),
     }
     # self-check: the closed form against the `copy_fidelity` oracle at 20
     # phases, draw 0 of the stream (seed, n)

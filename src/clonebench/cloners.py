@@ -6,7 +6,6 @@ Factor ordering is fixed everywhere: copy A, copy B, then ancilla (for the
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -47,35 +46,14 @@ class CloneIsometry:
         return dims
 
 
-@dataclass(frozen=True)
-class ConstraintReport:
-    """Residuals of the two normalization conditions and the column overlap."""
-
-    norm0: float
-    norm1: float
-    overlap: float
-    tol: float = CONSTRAINT_TOL
-
-    @property
-    def passed(self) -> bool:
-        return max(self.norm0, self.norm1, self.overlap) < self.tol
-
-    def as_dict(self) -> dict:
-        return {
-            "norm0": self.norm0,
-            "norm1": self.norm1,
-            "overlap": self.overlap,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
-
-
-def constraint_check(cols: np.ndarray) -> ConstraintReport:
+def constraint_check(cols: np.ndarray) -> dict:
     """Residuals of a machine's two columns, the images of |0> and |1>. Each
     squared norm is a pairwise sum of |entry|^2, with no square root to undo,
     so a 2^10-row isometry keeps its residuals near 1e-16."""
     norm0, norm1 = (float(abs(np.sum(abs(cols[:, k]) ** 2) - 1.0)) for k in (0, 1))
-    return ConstraintReport(norm0, norm1, overlap=float(abs(np.vdot(cols[:, 0], cols[:, 1]))))
+    overlap = float(abs(np.vdot(cols[:, 0], cols[:, 1])))
+    passed = max(norm0, norm1, overlap) < CONSTRAINT_TOL
+    return {"norm0": norm0, "norm1": norm1, "overlap": overlap, "tol": CONSTRAINT_TOL, "passed": passed}
 
 
 # ---------------------------------------------------------------------------
@@ -155,17 +133,12 @@ def symmetric_coefficients(v: CloneIsometry) -> np.ndarray:
 # serialization
 
 
-def _c2pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def machine_to_json(v: CloneIsometry) -> str:
+def machine_doc(v: CloneIsometry) -> dict:
+    """The machine.schema.json document of a symmetric 1->n machine."""
     a, b = symmetric_coefficients(v).T
-    doc = {
+    return {
         "kind": "symmetric_n",
         "n": v.copies,
-        "a": [_c2pair(z) for z in a],
-        "b": [_c2pair(z) for z in b],
+        "a": [[z.real, z.imag] for z in a.tolist()],
+        "b": [[z.real, z.imag] for z in b.tolist()],
     }
-    return json.dumps(doc)

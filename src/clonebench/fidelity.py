@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,29 +43,6 @@ def copy_fidelity(v: CloneIsometry, points: Sequence[BlochPoint], copies: Iterab
     return (psis.conj()[:, None, :] @ rho @ psis[:, :, None])[..., 0, 0].real.T
 
 
-@dataclass(frozen=True)
-class FidelityDecomposition:
-    """lambda/psi record of F(phi); psi angles are zeroed (and flagged) when
-    the matching lambda vanishes, since arg(0) is meaningless."""
-
-    lambda1: float
-    lambda2: float
-    lambda3: float
-    psi1: float
-    psi2: float
-    psi1_defined: bool = True
-    psi2_defined: bool = True
-
-    def evaluate(self, phi) -> np.ndarray | float:
-        phi = np.asarray(phi, dtype=float)
-        val = (
-            self.lambda1 * np.cos(2.0 * phi + self.psi1)
-            + self.lambda2 * np.cos(phi + self.psi2)
-            + self.lambda3
-        )
-        return float(val) if val.ndim == 0 else val
-
-
 def _polar(z: complex) -> tuple[float, float, bool]:
     mag = abs(z)
     if mag < PSI_UNDEFINED_BELOW:
@@ -74,22 +50,26 @@ def _polar(z: complex) -> tuple[float, float, bool]:
     return mag, cmath.phase(z) % TWO_PI, True
 
 
-def decompose_equatorial(v: CloneIsometry) -> tuple[FidelityDecomposition, ...]:
-    """lambda/psi record of each copy's equatorial fidelity, in copy order:
-    F at five equally spaced phases has DFT coefficients c_k, and
+def decompose_equatorial(v: CloneIsometry) -> list[dict]:
+    """The lambda/psi document of each copy's equatorial fidelity, in copy
+    order: F at five equally spaced phases has DFT coefficients c_k, and
     lambda1 = 2|c_2|, lambda2 = 2|c_1|, lambda3 = c_0, psi1 = arg c_2,
-    psi2 = arg c_1."""
+    psi2 = arg c_1. A psi angle is zeroed, and flagged undefined, when its
+    lambda vanishes, since arg(0) is meaningless."""
     report = constraint_check(v.matrix)
-    if not report.passed:
-        raise InvalidMachineError(f"constraint residuals too large: {report.as_dict()}")
+    if not report["passed"]:
+        raise InvalidMachineError(f"constraint residuals too large: {report}")
     phis = np.arange(5) * (TWO_PI / 5.0)
     f = copy_fidelity(v, [BlochPoint(math.pi / 2.0, p) for p in phis], range(v.copies))
     records = []
     for c0, c1, c2 in (np.exp(-1j * np.outer(np.arange(3), phis)) @ f / 5.0).T.tolist():
         lam1, psi1, ok1 = _polar(2.0 * c2)
         lam2, psi2, ok2 = _polar(2.0 * c1)
-        records.append(FidelityDecomposition(lam1, lam2, c0.real, psi1, psi2, ok1, ok2))
-    return tuple(records)
+        records.append({
+            "lambda1": lam1, "lambda2": lam2, "lambda3": c0.real, "psi1": psi1, "psi2": psi2,
+            "psi1_defined": ok1, "psi2_defined": ok2,
+        })  # fmt: skip
+    return records
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,6 @@ explores once and polishes once per stage, `scan_equator` twice per batch."""
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable
@@ -35,7 +33,7 @@ import numpy as np
 
 from .cloners import CloneIsometry
 from .descent import _descend
-from .qlinalg import DegenerateColumnsError, sym_basis
+from .qlinalg import sym_basis
 from .states import TWO_PI, BlochPoint, InputSet, bloch_to_state, equatorial_trio
 
 SMOOTH_SHARPNESS = 500.0  # log-sum-exp softening of the hard min
@@ -106,14 +104,12 @@ class ScanGrid:
 def scan_csv(resolution: int, cells: Iterable[tuple[int, int, float]]) -> str:
     """CSV text of scan cells given as (i, j, fidelity), in the order given;
     phase index k is k * 360 / resolution degrees."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["phi2_deg", "phi3_deg", "fidelity", "degenerate"])
+    rows = ["phi2_deg,phi3_deg,fidelity,degenerate\n"]
     for i, j, fidelity in cells:
         p2, p3 = i * 360.0 / resolution, j * 360.0 / resolution
         degenerate = "true" if _coinciding(i, j) else "false"
-        writer.writerow([f"{p2:.6f}", f"{p3:.6f}", f"{fidelity:.12f}", degenerate])
-    return buf.getvalue()
+        rows.append(f"{p2:.6f},{p3:.6f},{fidelity:.12f},{degenerate}\n")
+    return "".join(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -185,17 +181,6 @@ def _gram_schmidt(x: np.ndarray, d: int):
     r0, r1 = 1.0 / np.sqrt(nn0), 1.0 / np.sqrt(nn1 + (nn1 <= 1e-20))
     ym = np.matmul((_stack(r0, r1, a2 * r1, b2 * r1) @ _PASS2).reshape(k, 4, 4), w)
     return ym, bad
-
-
-def _columns_from_params(params: np.ndarray, d: int) -> np.ndarray:
-    """Two orthonormal complex columns (d x 2) from 4*d raw reals."""
-    x = np.asarray(params, dtype=float)
-    if x.size != 4 * d:
-        raise ValueError(f"expected {4 * d} parameters, got {x.size}")
-    ym, bad = _gram_schmidt(x, d)
-    if bad[0]:
-        raise DegenerateColumnsError("raw columns are zero or numerically parallel")
-    return (ym[0, :2] + 1j * ym[0, 2:]).T
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +367,9 @@ def optimize(input_set: InputSet, cfg: OptimizationConfig) -> OptimizationResult
     d = embed.shape[1]
     forms = _copy_forms(np.column_stack(input_set.states())[None], embed, copies, cfg.ancilla_dim)
     best_x, _, hits = _search(forms, d, cfg, _starts([(cfg.seed,)], cfg.restarts, 4 * d))
-    q = _columns_from_params(best_x[0], d)
-    fids = _fidelity_stack(best_x, forms, d)[-1].reshape(copies, -1)
+    ym, _, _, fids = _fidelity_stack(best_x, forms, d)
+    q = (ym[0, :2] + 1j * ym[0, 2:]).T  # the winner's orthonormal columns
+    fids = fids.reshape(copies, -1)
     per_state = tuple(
         (s, k, float(fids[k, s])) for s in range(len(input_set)) for k in range(copies)
     )

@@ -10,10 +10,6 @@ from typing import Sequence
 import numpy as np
 
 
-class DegenerateColumnsError(ValueError):
-    """Columns are numerically linearly dependent; caller should resample."""
-
-
 def partial_trace(psi: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
     """Reduced density matrices of the pure states `psi` on the factors in `keep`.
 

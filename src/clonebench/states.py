@@ -10,6 +10,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+MAX_POINTS = 64  # the most inputs a set may have, as in input_set.schema.json
 
 # cos(theta/2) = sqrt(3)/3 puts three states at cos(theta) = -1/3, the
 # tetrahedron latitude below the north pole.
@@ -63,8 +64,15 @@ class InputSet:
 
     @classmethod
     def from_json(cls, text: str) -> "InputSet":
+        """The set of an input_set.schema.json document; any finite phi is taken mod 2 pi."""
         doc = json.loads(text)
-        angles = [(q["theta"], q["phi"]) for q in doc["points"]]
+        raw = doc["points"]
+        if len(raw) > MAX_POINTS:
+            raise ValueError(f"{len(raw)} points; a set has at most {MAX_POINTS}")
+        unknown = (set(doc) - {"label", "points"}) | (set().union(*raw) - {"theta", "phi"})
+        if unknown:
+            raise ValueError(f"unknown keys {sorted(map(str, unknown))}")
+        angles = [(q["theta"], q["phi"]) for q in raw]
         if any(isinstance(a, bool) for pair in angles for a in pair):  # JSON true reads as 1
             raise TypeError("theta and phi must be numbers, not booleans")
         points = tuple(BlochPoint(*pair) for pair in angles)

@@ -247,11 +247,16 @@ def test_criterion_9_decomposition_identity():
     for v in machines:
         direct = copy_fidelity(v, points, range(2))
         for copy, d in enumerate(decompose_equatorial(v)[:2]):
-            worst = max(worst, float(np.abs(d.evaluate(phis) - direct[:, copy]).max()))
+            value = (
+                d["lambda1"] * np.cos(2.0 * phis + d["psi1"])
+                + d["lambda2"] * np.cos(phis + d["psi2"])
+                + d["lambda3"]
+            )
+            worst = max(worst, float(np.abs(value - direct[:, copy]).max()))
     optimal = [economic_pqcm(), ancilla_pqcm(0.6), ancilla_pqcm(1.0 / math.sqrt(2.0)), uqcm()]
     optimal += [optimal_n_cloner(n) for n in range(3, 7)]
     worst_lam = max(
-        max(d.lambda1, d.lambda2)
+        max(d["lambda1"], d["lambda2"])
         for v in optimal
         for d in decompose_equatorial(v)[:2]
     )

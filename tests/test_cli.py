@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import hashlib
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -119,7 +121,7 @@ def single_point_verify(machine, set_name):
     doc = {
         "machine": machine,
         "set": input_set.label,
-        "constraint_residuals": report.as_dict(),
+        "constraint_residuals": report,
         "fidelities": fids,
     }
     if not machine.startswith("nclone:"):
@@ -138,7 +140,7 @@ def single_point_verify(machine, set_name):
                 "psi1_defined": bool(ok1),
                 "psi2_defined": bool(ok2),
             }
-    passed = report.passed
+    passed = report["passed"]
     if machine == "uqcm" or equatorial:
         kind = "universal_1to2" if machine == "uqcm" else "phase_1ton"
         expected = closed_form_bound(kind, v.copies)
@@ -380,6 +382,45 @@ def test_malformed_input_exits_2(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def equator_set_json(count, **extra):
+    points = [{"theta": math.pi / 2.0, "phi": k * TWO_PI / count} for k in range(count)]
+    return json.dumps({"label": "x", "points": points, **extra})
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        '{"label": "x", "points": [{"theta": 1, "phi": 2}], "extra": 1}',
+        '{"label": "x", "points": [{"theta": 1, "phi": 2, "psi": 0}]}',
+        '{"label": "x", "points": [{"theta": 1, "phi": 2}, {"theta": 1, "phi": 2, "": 0}]}',
+        equator_set_json(65),
+        equator_set_json(200, note="both"),
+    ],
+    ids=["set-key", "point-key", "empty-point-key", "65-points", "200-points-and-set-key"],
+)
+def test_sets_the_schema_rejects_exit_2(spec, tmp_path, capsys):
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(json.loads(spec), load_schema("input_set.schema.json"))
+    path = tmp_path / "set.json"
+    path.write_text(spec)
+    for source in (spec, str(path)):
+        for argv in (["verify", "--machine", "uqcm", "--set", source], ["optimize", "--set", source]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_sets_at_the_schema_limits_still_verify(capsys):
+    # 64 points, the most the schema allows, and a phi of 2 pi, which rounding
+    # can make of a phase reduced mod 2 pi, taken as 0
+    assert main(["verify", "--machine", "pqcm-economic", "--set", equator_set_json(64)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["fidelities"]) == 2 * 64
+    spec = json.dumps({"label": "x", "points": [{"theta": math.pi / 2.0, "phi": TWO_PI}]})
+    assert main(["verify", "--machine", "pqcm-economic", "--set", spec]) == 0
+    assert resolve_set(spec).points[0].phi == 0.0
 
 
 @pytest.mark.parametrize(
@@ -624,3 +665,60 @@ def test_main_parses_as_the_top_level_parser_does(argv, monkeypatch, capsys):
         got = seen.pop()
         assert got.pop("argv") == argv
         assert got == {**expected, "seed": 0 if expected["seed"] is None else expected["seed"]}
+
+
+# SHA-256 of each command's exit code, stdout, stderr and --out files at a
+# fixed argv (see `output_digest`); a changed printed or written byte shows here
+GOLDEN_DIGESTS = {
+    "verify --machine pqcm-economic --set trio":
+        "afc2ef770b3c82ec9e9d3026a8416405c7ef7938ee36a60f6df828499c44a3c6",
+    "verify --machine pqcm-economic --set tetrahedron":
+        "0c34bc67dd773a5a978f166fecc866f00b2a23fea9d5856814fb8aadf5bbddc5",
+    "verify --machine pqcm-ancilla --set bb84":
+        "41a9d3f844da2eb557340dff3e16bf4d455c79768a7e952fb75fd2ff7a0f8840",
+    "verify --machine uqcm --set six-state":
+        "4a63124418b90373ac634e5dfe643e470ae80d1d91f4c7d5a6c6b058bfd25e6d",
+    'verify --machine uqcm --set \'{"label": "two", "points": [{"theta": 0.3, "phi": 1.0}, {"theta": 2.0, "phi": 6.0}]}\'': (
+        "d3498130de675a1f0e35a68a8d1ece74d34d58639542ec62843ee8d2eccf65e0"
+    ),
+    "verify --machine nclone:1 --set equator:5":
+        "0c0aad010fbdee87dfd96e6cb3afe4be098966ee4010f0b4921dfc36b5eb379b",
+    "verify --machine nclone:4 --set trio":
+        "b8e2ba46c50493b5ba08cf36f2c5b843cf47d4859ef91f4cc875789c5ca419ff",
+    "verify --machine nclone:7 --set equator:9":
+        "5ac8e73e945bdc0332cdd51370f3f3033a214759f8375dc47871919cb6c4ec74",
+    "optimize --set trio --restarts 2":
+        "0301d78009d807ebd8a7cc16d75c546834e133164669ca3ede394dcd2251dce3",
+    "optimize --set trio --restarts 2 --symmetric --format csv":
+        "777c473d67318fee01e142e2c69a93fc009f12a32c88602fb2e6b7eec7fc0ba8",
+    "scan --resolution 8":
+        "9b82366c75558a11ceb05683ff475e12b8dededb8b722933ffa58d5301ae21a9",
+    "nclone --n 3 --restarts 1":
+        "c2524af7afc46036e5a903e250aa30313fe8678ac1db70048901f2712c82e711",
+}
+
+
+def output_digest(argv, capsys):
+    """SHA-256 of `clonebench <argv> --out out.json` run in the working
+    directory: exit code, stdout, stderr, then every file it writes by name,
+    each manifest without its wall time."""
+    code = main([*shlex.split(argv), "--out", "out.json"])
+    captured = capsys.readouterr()
+    digest = hashlib.sha256(f"{code}\n{captured.out}\n{captured.err}".encode())
+    for path in sorted(Path.cwd().iterdir()):
+        text = path.read_text()
+        if path.name.endswith(".manifest.json"):
+            text = re.sub(r'\n  "wall_time_s": [^\n]*', "", text)
+        digest.update(f"\n{path.name}\n{text}".encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11) or not np.__version__.startswith("2.4."),
+    reason="the digests were recorded on Python 3.11 with numpy 2.4",
+)
+@pytest.mark.parametrize("argv", GOLDEN_DIGESTS)
+def test_command_output_bytes_are_unchanged(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("CLONEBENCH_SEED", raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert output_digest(argv, capsys) == GOLDEN_DIGESTS[argv]

@@ -17,7 +17,7 @@ from clonebench.cloners import (
     ancilla_pqcm,
     constraint_check,
     economic_pqcm,
-    machine_to_json,
+    machine_doc,
     optimal_n_cloner,
     symmetric_coefficients,
     uqcm,
@@ -32,13 +32,13 @@ def machine_schema():
 
 def test_economic_pqcm_satisfies_constraints():
     report = constraint_check(economic_pqcm().matrix)
-    assert report.passed
-    assert max(report.norm0, report.norm1, report.overlap) < 1e-14
+    assert report["passed"]
+    assert max(report["norm0"], report["norm1"], report["overlap"]) < 1e-14
 
 
 @pytest.mark.parametrize("a_mod", [0.0, 0.3, 1.0 / math.sqrt(2.0), 1.0])
 def test_ancilla_pqcm_family_satisfies_constraints(a_mod):
-    assert constraint_check(ancilla_pqcm(a_mod).matrix).passed
+    assert constraint_check(ancilla_pqcm(a_mod).matrix)["passed"]
 
 
 def test_ancilla_pqcm_rejects_out_of_range():
@@ -47,17 +47,17 @@ def test_ancilla_pqcm_rejects_out_of_range():
 
 
 def test_uqcm_satisfies_constraints():
-    assert constraint_check(uqcm().matrix).passed
+    assert constraint_check(uqcm().matrix)["passed"]
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_optimal_n_cloner_satisfies_constraints(n):
-    assert constraint_check(optimal_n_cloner(n).matrix).passed
+    assert constraint_check(optimal_n_cloner(n).matrix)["passed"]
 
 
 def test_constraint_check_flags_bad_machine():
     bad = np.array([[1.0, 1.0], [0.0, 0.0]])  # columns are parallel
-    assert not constraint_check(bad).passed
+    assert not constraint_check(bad)["passed"]
 
 
 def test_clone_isometry_shapes_and_dims():
@@ -101,12 +101,12 @@ def test_symmetric_coefficients_reject_non_symmetric_machines(v):
     with pytest.raises(InvalidMachineError):
         symmetric_coefficients(v)
     with pytest.raises(InvalidMachineError):
-        machine_to_json(v)
+        machine_doc(v)
 
 
 def test_json_round_trip_is_bit_faithful():
     def decoded(v):
-        doc = json.loads(machine_to_json(v))
+        doc = json.loads(json.dumps(machine_doc(v)))
         return np.array([[complex(*a), complex(*b)] for a, b in zip(doc["a"], doc["b"])])
 
     m = optimal_n_cloner(5)
@@ -123,7 +123,7 @@ def test_json_round_trip_is_bit_faithful():
 def test_json_validates_against_schema():
     schema = machine_schema()
     for n in (1, 3, 10):
-        jsonschema.validate(json.loads(machine_to_json(optimal_n_cloner(n))), schema)
+        jsonschema.validate(machine_doc(optimal_n_cloner(n)), schema)
     # the 1->2 machines are plain isometries and have no JSON kind of their own
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate({"kind": "economic", "coefficients": [[1.0, 0.0]] * 8}, schema)
@@ -132,4 +132,4 @@ def test_json_validates_against_schema():
 @settings(deadline=None, max_examples=30)
 @given(st.floats(0.0, 1.0, allow_nan=False))
 def test_ancilla_pqcm_always_valid(a_mod):
-    assert constraint_check(ancilla_pqcm(a_mod).matrix).passed
+    assert constraint_check(ancilla_pqcm(a_mod).matrix)["passed"]

@@ -4,6 +4,8 @@ The heavy theorem-level runs live in test_acceptance; these tests use small
 restart budgets and check mechanics, determinism, and formats.
 """
 
+import csv
+import io
 import math
 from dataclasses import replace
 from types import SimpleNamespace
@@ -28,7 +30,7 @@ from clonebench.optimize import (
     scan_csv,
     scan_equator,
 )
-from clonebench.qlinalg import DegenerateColumnsError, sym_basis
+from clonebench.qlinalg import sym_basis
 from clonebench.states import (
     TWO_PI,
     BlochPoint,
@@ -43,6 +45,14 @@ from clonebench.states import (
 F_PHASE = 0.5 + math.sqrt(2.0) / 4.0
 
 SMALL = OptimizationConfig(restarts=20, symmetric=True)
+
+
+def columns(x, d):
+    """The two orthonormal complex columns (d x 2) that the search's
+    Gram-Schmidt makes of the 4 d raw reals x."""
+    ym, bad = optimize_module._gram_schmidt(np.asarray(x, dtype=float), d)
+    assert not bad[0], "zero or parallel raw columns"
+    return (ym[0, :2] + 1j * ym[0, 2:]).T
 
 
 def test_config_validation():
@@ -68,10 +78,9 @@ def test_config_validation():
 @settings(deadline=None, max_examples=40)
 @given(arrays(np.float64, 16, elements=st.floats(-2.0, 2.0, allow_nan=False)))
 def test_parameterize_yields_feasible_isometries(params):
-    try:
-        v = CloneIsometry(optimize_module._columns_from_params(params, 4))
-    except DegenerateColumnsError:
-        return
+    if optimize_module._gram_schmidt(params, 4)[1][0]:
+        return  # zero or parallel raw columns
+    v = CloneIsometry(columns(params, 4))
     np.testing.assert_allclose(v.matrix.conj().T @ v.matrix, np.eye(2), atol=1e-10)
 
 
@@ -81,16 +90,11 @@ def test_parameterize_symmetric_embeds_in_full_space():
     assert optimize_module._sym_embedding(2, 2).shape == (8, 6)
     assert optimize_module._sym_embedding(3, 1).shape == (8, 4)
     rng = np.random.default_rng(2)
-    q = optimize_module._columns_from_params(rng.standard_normal(12), 3)
+    q = columns(rng.standard_normal(12), 3)
     v = CloneIsometry(optimize_module._sym_embedding(2, 1) @ q)
     assert v.matrix.shape == (4, 2)
     # symmetric-subspace output: |01> and |10> amplitudes coincide
     np.testing.assert_allclose(v.matrix[1], v.matrix[2], atol=1e-12)
-
-
-def test_parameterize_rejects_wrong_size():
-    with pytest.raises(ValueError):
-        optimize_module._columns_from_params(np.zeros(7), 4)
 
 
 def fidelities(forms, q):
@@ -120,7 +124,7 @@ def test_columns_match_the_complex_gram_schmidt():
             x = rng.standard_normal(4 * d) * rng.uniform(0.01, 100.0)
             z = x[: 2 * d] + 1j * x[2 * d :]
             np.testing.assert_allclose(
-                optimize_module._columns_from_params(x, d),
+                columns(x, d),
                 reference_columns(z[:d], z[d:]),
                 rtol=0.0,
                 atol=1e-13,
@@ -138,7 +142,7 @@ def test_columns_stay_orthonormal_for_nearly_parallel_draws(residual):
         lam = complex(*rng.standard_normal(2))
         scale = abs(lam) * np.linalg.norm(c0) * math.sqrt(residual / (1.0 - residual))
         c1 = lam * c0 + w * (scale / np.linalg.norm(w))
-        q = optimize_module._columns_from_params(raw_params(c0, c1), 4)
+        q = columns(raw_params(c0, c1), 4)
         np.testing.assert_allclose(q.conj().T @ q, np.eye(2), rtol=0.0, atol=1e-12)
         # the first column is c0 normalized
         np.testing.assert_allclose(q[:, 0], c0 / np.linalg.norm(c0), rtol=0.0, atol=1e-12)
@@ -156,8 +160,7 @@ def test_degenerate_draws_evaluate_to_inf(c0, c1):
     x = raw_params(c0, c1)
     psis = np.column_stack(equatorial_trio().states())
     forms = optimize_module._copy_forms(psis, optimize_module._sym_embedding(2, 1), 2, 1)
-    with pytest.raises(DegenerateColumnsError):
-        optimize_module._columns_from_params(x, 3)
+    np.testing.assert_array_equal(optimize_module._gram_schmidt(x, 3)[1], [True])
     for mode in ("max_min", "equal_fidelity_penalty"):
         value, _, grad = optimize_module._search_objective(x[None], forms[None], 3, mode)
         np.testing.assert_array_equal(value, [math.inf])
@@ -197,7 +200,7 @@ def test_search_objective_is_the_smoothed_objective_of_the_fidelities(
         value, _, grad = optimize_module._search_objective(x, forms[None], d, mode, sharpness)
         assert value.shape == (20,) and grad.shape == x.shape
         for row, v in zip(x, value):
-            fids = fidelities(forms, optimize_module._columns_from_params(row, d))
+            fids = fidelities(forms, columns(row, d))
             assert -v == pytest.approx(smoothed(fids, mode, sharpness), rel=0.0, abs=1e-12)
 
 
@@ -229,7 +232,7 @@ def test_copy_forms_match_the_density_matrix_oracle(symmetric, ancilla_dim, copi
     forms = optimize_module._copy_forms(psis, embed, copies, ancilla_dim)
     for _ in range(5):
         x = rng.standard_normal(4 * d_eff)
-        q = optimize_module._columns_from_params(x, d_eff)
+        q = columns(x, d_eff)
         fids = fidelities(forms, q)
         v = CloneIsometry(embed @ q, copies=copies, ancilla_dim=ancilla_dim)
         oracle = copy_fidelity(v, points, range(copies)).T.ravel()
@@ -738,7 +741,7 @@ def test_optimize_n_small_budget():
     starts = optimize_module._starts([(cfg.seed,)], cfg.restarts, 16)
     best_x = optimize_module._search(forms[None], 4, cfg, starts)[0][0]
     q = symmetric_coefficients(res.best)
-    np.testing.assert_allclose(q, optimize_module._columns_from_params(best_x, 4), rtol=0.0, atol=2.3e-16)
+    np.testing.assert_allclose(q, columns(best_x, 4), rtol=0.0, atol=2.3e-16)
     # and the reported fidelities are that machine's
     fids = fidelities(forms, q).reshape(3, 3)
     reported = [f for *_, f in res.per_state_fidelities]
@@ -817,6 +820,33 @@ def test_scan_csv_format(scan8):
     assert lines[2].startswith("0.000000,45.000000,")
     assert len(first[2].split(".")[1]) == 12
     assert first[3] in ("true", "false")
+
+
+def reference_scan_csv(resolution, cells):
+    """The scan CSV written through csv.writer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["phi2_deg", "phi3_deg", "fidelity", "degenerate"])
+    for i, j, fidelity in cells:
+        p2, p3 = i * 360.0 / resolution, j * 360.0 / resolution
+        degenerate = "true" if i == 0 or j == 0 or i == j else "false"
+        writer.writerow([f"{p2:.6f}", f"{p3:.6f}", f"{fidelity:.12f}", degenerate])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("r", [8, 9, 24, 61])
+def test_scan_csv_matches_a_csv_writer(r):
+    # the ends of [0, 1], and values a hair either side of a rounding boundary
+    # of the 12th decimal, as floats and as numpy floats
+    edges = [0.0, 1.0, 5e-13, 1.0 - 5e-13, 0.9999999999995, 0.1234567890125, 0.12345678901249999]
+    edges += [math.nextafter(x, lim) for x in (5e-13, 0.9999999999995) for lim in (0.0, 1.0)]
+    rng = np.random.default_rng(r)
+    fids = edges + [np.float64(f) for f in edges] + rng.uniform(0.0, 1.0, r * r).tolist()
+    cells = [(i, j, fids[(i * r + j) % len(fids)]) for i in range(r) for j in range(r)]
+    assert scan_csv(r, cells) == reference_scan_csv(r, cells)
+    # a partial scan's cells, in the order given
+    assert scan_csv(r, cells[::-3]) == reference_scan_csv(r, cells[::-3])
+    assert scan_csv(r, []) == reference_scan_csv(r, [])
 
 
 def test_scan_grid_is_exactly_symmetric(scan8):
