@@ -29,6 +29,7 @@ from .cloners import (
 )
 from .fidelity import closed_form_bound, copy_fidelity, decompose_equatorial, n_clone_fidelity
 from .optimize import (
+    MAX_RESOLUTION,
     OptimizationConfig,
     OptimizationResult,
     _stream,
@@ -296,8 +297,8 @@ class _BudgetExceeded(Exception):
 
 def cmd_scan(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    if args.resolution < 8:
-        raise UsageError(f"resolution {args.resolution} must be >= 8")
+    if not 8 <= args.resolution <= MAX_RESOLUTION:
+        raise UsageError(f"resolution {args.resolution} outside 8..{MAX_RESOLUTION}")
     # NaN fails the comparison too
     if not 0.0 <= args.budget < math.inf:
         raise UsageError(f"--budget {args.budget} must be finite and >= 0")

@@ -388,8 +388,13 @@ def optimize(input_set: InputSet, cfg: OptimizationConfig) -> OptimizationResult
 
 
 # the per-orbit search of the scan: the equal-fidelity/symmetric conditions
-# with a cheap schedule of 8 random starts per orbit
-SCAN_CONFIG = OptimizationConfig(restarts=8, tol=1e-3, mode="equal_fidelity_penalty", symmetric=True)
+# with a cheap schedule of 8 random starts per orbit. In penalty mode the
+# polish minimizes the same objective as the exploration, so the exploration
+# only has to rank each orbit's starts; the polish, at ftol=1e-15 and
+# gtol=1e-12, sets every reported value
+SCAN_CONFIG = OptimizationConfig(restarts=8, tol=3e-2, mode="equal_fidelity_penalty", symmetric=True)
+# a one-degree grid; a scan builds resolution**2 orbit keys before any output
+MAX_RESOLUTION = 360
 # orbits solved together, in one exploration and one polish descent; a scan
 # reports, and a budgeted scan can stop, only between batches
 SCAN_BATCH = 32
@@ -412,8 +417,8 @@ def scan_equator(resolution: int, seed: int = 0, progress=None) -> ScanGrid:
     first cell in row-major order). `_search` solves SCAN_BATCH orbits at a
     time, in that order, and `progress(i, j, value)` fires once per cell in
     row-major order as soon as the cell's orbit is solved."""
-    if resolution < 8:
-        raise ValueError("resolution must be >= 8")
+    if not 8 <= resolution <= MAX_RESOLUTION:
+        raise ValueError(f"resolution must be in 8..{MAX_RESOLUTION}")
     cfg = replace(SCAN_CONFIG, seed=seed)
     phis = np.linspace(0.0, TWO_PI, resolution, endpoint=False)
     kets = np.array([bloch_to_state(BlochPoint(math.pi / 2.0, phi)) for phi in phis])

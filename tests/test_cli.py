@@ -285,7 +285,7 @@ def test_budget_stops_a_long_scan_early(capsys):
     full_s = time.perf_counter() - t0
     full = capsys.readouterr().out
     t0 = time.perf_counter()
-    assert main(["scan", "--resolution", "48", "--budget", "0.05"]) == 4
+    assert main(["scan", "--resolution", "48", "--budget", "0.02"]) == 4
     budget_s = time.perf_counter() - t0
     partial = capsys.readouterr().out
     assert partial.count("\n") > 1
@@ -295,6 +295,15 @@ def test_budget_stops_a_long_scan_early(capsys):
 
 def test_scan_low_resolution_exit_2(capsys):
     assert main(["scan", "--resolution", "4"]) == 2
+
+
+@pytest.mark.parametrize("resolution", [361, 10**9])
+def test_scan_resolution_above_the_cap_exits_2(resolution, capsys):
+    # refused before any orbit key is built, so a huge grid costs nothing
+    assert main(["scan", "--resolution", str(resolution)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_nclone_n2(tmp_path, capsys):
@@ -692,7 +701,7 @@ GOLDEN_DIGESTS = {
     "optimize --set trio --restarts 2 --symmetric --format csv":
         "777c473d67318fee01e142e2c69a93fc009f12a32c88602fb2e6b7eec7fc0ba8",
     "scan --resolution 8":
-        "9b82366c75558a11ceb05683ff475e12b8dededb8b722933ffa58d5301ae21a9",
+        "7fbd6219be31857884eacf13bb7e3e7c5f2a2f845b3544cb332276d1a01a61d4",
     "nclone --n 3 --restarts 1":
         "c2524af7afc46036e5a903e250aa30313fe8678ac1db70048901f2712c82e711",
 }

@@ -782,6 +782,26 @@ def test_scan_rejects_low_resolution():
         scan_equator(7)
 
 
+def test_scan_rejects_resolution_above_the_cap():
+    with pytest.raises(ValueError):
+        scan_equator(optimize_module.MAX_RESOLUTION + 1)
+
+
+@pytest.mark.parametrize(
+    "resolution, seed",
+    [(r, s) for r in (8, 9) for s in range(3)]
+    + [pytest.param(r, 0, marks=pytest.mark.slow) for r in (12, 24)],
+)
+def test_scan_grid_does_not_depend_on_the_exploration_tolerance(monkeypatch, resolution, seed):
+    # the exploration only ranks each orbit's starts and the polish sets the
+    # values, so a 30x tighter exploration tolerance gives the same grid
+    grid = scan_equator(resolution, seed)
+    monkeypatch.setattr(optimize_module, "SCAN_CONFIG", replace(SCAN_CONFIG, tol=1e-3))
+    tight = scan_equator(resolution, seed)
+    np.testing.assert_allclose(grid.fidelity, tight.fidelity, rtol=0.0, atol=1e-12)
+    assert grid.minimum_cells() == tight.minimum_cells()
+
+
 @pytest.fixture(scope="module")
 def scan8():
     return scan_equator(8)
