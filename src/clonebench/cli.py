@@ -33,6 +33,7 @@ from .optimize import (
     OptimizationConfig,
     OptimizationResult,
     _stream,
+    minimum_cells,
     optimize,
     optimize_n,
     scan_csv,
@@ -57,6 +58,9 @@ SELF_CHECK_TOL = 1e-8
 # a qubit -> two-qubit channel has Kraus rank <= 2 * 4, so a larger ancilla
 # adds no machine
 MAX_ANCILLA_DIM = 8
+# each restart holds a (4d) x (4d) inverse Hessian through the descent, about
+# 0.19 MB at --ancilla-dim 8
+MAX_RESTARTS = 1000
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_SELF_CHECK = 3
@@ -227,17 +231,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # optimize
 
 
-def _require_positive(flag: str, value: int) -> None:
+def _require_in_range(flag: str, value: int, cap: int) -> None:
     if value < 1:
         raise UsageError(f"{flag} {value} must be >= 1")
+    if value > cap:
+        raise UsageError(f"{flag} {value} must be <= {cap}")
 
 
 def _config_from_args(args: argparse.Namespace) -> OptimizationConfig:
     mode = {"maxmin": "max_min", "equalfid": "equal_fidelity_penalty"}[args.mode]
-    _require_positive("--restarts", args.restarts)
-    _require_positive("--ancilla-dim", args.ancilla_dim)
-    if args.ancilla_dim > MAX_ANCILLA_DIM:
-        raise UsageError(f"--ancilla-dim {args.ancilla_dim} must be <= {MAX_ANCILLA_DIM}")
+    _require_in_range("--restarts", args.restarts, MAX_RESTARTS)
+    _require_in_range("--ancilla-dim", args.ancilla_dim, MAX_ANCILLA_DIM)
     if args.economic and args.ancilla_dim != 1:
         raise UsageError("--economic contradicts --ancilla-dim > 1")
     return OptimizationConfig(
@@ -319,10 +323,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
         return EXIT_BUDGET
 
     step = 360.0 / args.resolution
-    minima_deg = [
-        [i * 360.0 / args.resolution, j * 360.0 / args.resolution] for i, j in grid.minimum_cells()
-    ]
-    vmin = float(grid.fidelity[~grid.degenerate_mask].min())
+    cells, vmin = minimum_cells(grid)
+    minima_deg = [[i * 360.0 / args.resolution, j * 360.0 / args.resolution] for i, j in cells]
     # the exact minima sit on the grid only when the resolution divides 120
     on_grid = args.resolution % 3 == 0
     if on_grid:
@@ -359,7 +361,7 @@ def cmd_nclone(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     if not 2 <= args.n <= 8:
         raise UsageError(f"--n {args.n} outside 2..8")
-    _require_positive("--restarts", args.restarts)
+    _require_in_range("--restarts", args.restarts, MAX_RESTARTS)
     cfg = OptimizationConfig(copies=args.n, restarts=args.restarts, seed=args.seed)
     res = optimize_n(cfg)
     bound = closed_form_bound("phase_1ton", args.n)
@@ -452,6 +454,9 @@ def main(argv: list[str] | None = None) -> int:
             args.seed = _default_seed()
         if args.seed < 0:
             raise UsageError(f"seed {args.seed} must be >= 0")
+        # the random streams fold seeds mod 2^64, so a larger one would alias
+        if args.seed >= 2**64:
+            raise UsageError(f"seed {args.seed} must be < 2**64")
         if args.out is not None:
             _check_out(args.out)
         return command[args.command](args)

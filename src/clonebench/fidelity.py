@@ -39,7 +39,7 @@ def copy_fidelity(v: CloneIsometry, points: Sequence[BlochPoint], copies: Iterab
             raise IndexError(f"copy index {copy} out of range for {v.copies} copies")
     psis = np.array([bloch_to_state(p) for p in points])
     out = psis @ v.matrix.T
-    rho = np.array([partial_trace(out, v.output_dims, [copy]) for copy in copies])
+    rho = np.array([partial_trace(out, v.output_dims, copy) for copy in copies])
     return (psis.conj()[:, None, :] @ rho @ psis[:, :, None])[..., 0, 0].real.T
 
 

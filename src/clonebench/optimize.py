@@ -84,21 +84,12 @@ def _coinciding(i, j):
     return (i == 0) | (j == 0) | (i == j)
 
 
-@dataclass
-class ScanGrid:
-    resolution: int
-    fidelity: np.ndarray  # (resolution, resolution), row index = phi2
-
-    @property
-    def degenerate_mask(self) -> np.ndarray:
-        return _coinciding(*np.indices(self.fidelity.shape))
-
-    def minimum_cells(self, slack: float = 1e-6) -> list[tuple[int, int]]:
-        """Indices of non-degenerate cells within `slack` of the global minimum."""
-        ok = ~self.degenerate_mask
-        vmin = self.fidelity[ok].min()
-        cells = np.argwhere(ok & (self.fidelity <= vmin + slack))
-        return [tuple(map(int, ij)) for ij in cells]
+def minimum_cells(grid: np.ndarray) -> tuple[list[tuple[int, int]], float]:
+    """The non-degenerate cells of a scan grid within 1e-6 of its least
+    non-degenerate value, and that value."""
+    ok = ~_coinciding(*np.indices(grid.shape))
+    vmin = float(grid[ok].min())
+    return [tuple(map(int, ij)) for ij in np.argwhere(ok & (grid <= vmin + 1e-6))], vmin
 
 
 def scan_csv(resolution: int, cells: Iterable[tuple[int, int, float]]) -> str:
@@ -409,14 +400,15 @@ def _orbit_key(i: int, j: int, resolution: int) -> tuple[int, ...]:
     return tuple(sorted((a, b - a, resolution - b)))
 
 
-def scan_equator(resolution: int, seed: int = 0, progress=None) -> ScanGrid:
-    """Grid of best objectives for trios {0, phi2, phi3} over a square grid
-    of phases in [0, 360) degrees. One search per orbit of the trio-phase
-    symmetry group fills every cell of the orbit, so the grid is exactly
-    symmetric; its starts come from the stream (seed, index of the orbit's
-    first cell in row-major order). `_search` solves SCAN_BATCH orbits at a
-    time, in that order, and `progress(i, j, value)` fires once per cell in
-    row-major order as soon as the cell's orbit is solved."""
+def scan_equator(resolution: int, seed: int = 0, progress=None) -> np.ndarray:
+    """The (resolution, resolution) grid of best objectives, row index phi2,
+    for trios {0, phi2, phi3} over a square grid of phases in [0, 360)
+    degrees. One search per orbit of the trio-phase symmetry group fills
+    every cell of the orbit, so the grid is exactly symmetric; its starts
+    come from the stream (seed, index of the orbit's first cell in row-major
+    order). `_search` solves SCAN_BATCH orbits at a time, in that order, and
+    `progress(i, j, value)` fires once per cell in row-major order as soon as
+    the cell's orbit is solved."""
     if not 8 <= resolution <= MAX_RESOLUTION:
         raise ValueError(f"resolution must be in 8..{MAX_RESOLUTION}")
     cfg = replace(SCAN_CONFIG, seed=seed)
@@ -441,7 +433,7 @@ def scan_equator(resolution: int, seed: int = 0, progress=None) -> ScanGrid:
         if progress is not None:
             for cell in cells:
                 progress(*cell)
-    return ScanGrid(resolution=resolution, fidelity=grid.reshape(resolution, resolution))
+    return grid.reshape(resolution, resolution)
 
 
 # ---------------------------------------------------------------------------

@@ -10,29 +10,25 @@ from typing import Sequence
 import numpy as np
 
 
-def partial_trace(psi: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
-    """Reduced density matrices of the pure states `psi` on the factors in `keep`.
+def partial_trace(psi: np.ndarray, dims: Sequence[int], copy: int) -> np.ndarray:
+    """Reduced density matrices of the pure states `psi` on factor `copy`.
 
     `psi` is one ket or a stack of them, shape (..., D) with D = prod(dims);
-    the result has shape (..., d_keep, d_keep). `dims` are the factor
-    dimensions in order; each result lives on the kept factors in their
-    original order and has trace <psi|psi>. It is M M†, with M the ket
-    reshaped so the kept factors index its rows, so |psi><psi| is never
-    formed.
+    the result has shape (..., d, d) with d = dims[copy]. `dims` are the
+    factor dimensions in order; each result has trace <psi|psi>. It is M M†,
+    with M the ket reshaped so factor `copy` indexes its rows, so |psi><psi|
+    is never formed.
     """
     psi = np.asarray(psi, dtype=complex)
     dims = [int(d) for d in dims]
     if psi.shape[-1:] != (math.prod(dims),):
         raise ValueError(f"ket shape {psi.shape} does not match dims {dims}")
-    k = len(dims)
-    keep = sorted({int(i) for i in keep})
-    if not keep or keep[0] < 0 or keep[-1] >= k:
-        raise ValueError(f"keep={keep} is not a nonempty subset of factor indices 0..{k - 1}")
-    traced = [i for i in range(k) if i not in keep]
-    d_keep = math.prod(dims[i] for i in keep)
-    lead = psi.shape[:-1]
-    axes = [*range(len(lead)), *(len(lead) + i for i in keep + traced)]
-    m = psi.reshape(lead + tuple(dims)).transpose(axes).reshape(*lead, d_keep, psi.shape[-1] // d_keep)
+    if not 0 <= copy < len(dims):
+        raise ValueError(f"copy={copy} is not a factor index 0..{len(dims) - 1}")
+    lead, before, after = psi.shape[:-1], math.prod(dims[:copy]), math.prod(dims[copy + 1 :])
+    # rows: factor `copy`; columns: the factors before it, then those after
+    m = psi.reshape(*lead, before, dims[copy], after).swapaxes(-3, -2)
+    m = m.reshape(*lead, dims[copy], before * after)
     return m @ m.conj().swapaxes(-1, -2)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -115,6 +115,5 @@ def equatorial_pair(delta: float) -> InputSet:
     return InputSet(f"pair:{math.degrees(delta):g}", pts)
 
 
-def custom(points: Iterable[BlochPoint] | Sequence[tuple[float, float]], label: str = "custom") -> InputSet:
-    pts = tuple(p if isinstance(p, BlochPoint) else BlochPoint(*p) for p in points)
-    return InputSet(label, pts)
+def custom(points: Iterable[BlochPoint], label: str = "custom") -> InputSet:
+    return InputSet(label, tuple(points))

@@ -384,6 +384,9 @@ def run_cli(argv):
         ["scan", "--resolution", "8", "--budget", "inf"],
         ["optimize", "--set", '{"points": ' + "[" * 2000 + "]" * 2000 + "}"],
         ["optimize", "--set", '{"label": "x", "points": [{"theta": true, "phi": 0.0}]}'],
+        # the random streams fold a seed mod 2^64, so 2^64 would alias 0
+        ["optimize", "--set", "trio", "--restarts", "2", "--seed", str(2**64)],
+        ["scan", "--resolution", "8", "--seed", str(2**64 + 5)],
     ],
 )
 def test_malformed_input_exits_2(argv, capsys):
@@ -457,6 +460,34 @@ def test_negative_environment_seed_exits_2(monkeypatch, capsys):
     monkeypatch.setenv("CLONEBENCH_SEED", "-3")
     assert main(["optimize", "--set", "trio", "--restarts", "1"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_environment_seed_of_2_to_the_64_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("CLONEBENCH_SEED", str(2**64))
+    assert main(["optimize", "--set", "trio", "--restarts", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+class _SearchEntered(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "argv, search", [(["optimize", "--set", "trio"], "optimize"), (["nclone", "--n", "2"], "optimize_n")]
+)
+def test_restarts_above_the_cap_exit_2_before_the_search(monkeypatch, capsys, argv, search):
+    def enter(*args, **kwargs):
+        raise _SearchEntered
+
+    monkeypatch.setattr(cli, search, enter)
+    with pytest.raises(_SearchEntered):
+        main([*argv, "--restarts", str(cli.MAX_RESTARTS)])
+    assert main([*argv, "--restarts", str(cli.MAX_RESTARTS + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 _SET_SPECS = st.one_of(

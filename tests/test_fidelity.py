@@ -81,15 +81,22 @@ def random_points(rng, count):
 
 
 @pytest.mark.parametrize(
-    "name", ["pqcm-economic", "pqcm-ancilla", "uqcm"] + [f"nclone:{n}" for n in range(1, 11)]
+    "name",
+    ["pqcm-economic", "pqcm-ancilla", "pqcm-ancilla:0.6", "uqcm"] + [f"nclone:{n}" for n in range(1, 11)],
 )
 def test_copy_fidelity_matches_explicit_density_matrix(name):
-    v = resolve_machine(name)
+    # every copy, of a single output ket and of a stack of them; an ancilla is
+    # the last factor and is traced out with the other copies
+    v = ancilla_pqcm(0.6) if name == "pqcm-ancilla:0.6" else resolve_machine(name)
     points = random_points(np.random.default_rng(31), 4) + [equatorial(0.4)]
     table = copy_fidelity(v, points, range(v.copies))
     for s, p in enumerate(points):
+        single = copy_fidelity(v, [p], range(v.copies))
+        assert single.shape == (1, v.copies)
         for copy in range(v.copies):
-            assert abs(table[s, copy] - explicit_copy_fidelity(v, p, copy)) < 1e-13
+            expected = explicit_copy_fidelity(v, p, copy)
+            assert abs(table[s, copy] - expected) < 1e-13
+            assert abs(single[0, copy] - expected) < 1e-13
 
 
 @pytest.mark.parametrize("copies,ancilla_dim", [(2, 2), (2, 4), (3, 1)])

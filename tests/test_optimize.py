@@ -24,7 +24,8 @@ from clonebench.fidelity import copy_fidelity, n_clone_fidelity
 from clonebench.optimize import (
     SCAN_CONFIG,
     OptimizationConfig,
-    ScanGrid,
+    _coinciding,
+    minimum_cells,
     optimize,
     optimize_n,
     scan_csv,
@@ -499,7 +500,7 @@ def test_a_stack_of_problems_evaluates_each_row_on_its_own_forms():
     embed = optimize_module._sym_embedding(2, 1)
     # three trios, the last with two coinciding states
     sets = [equatorial_trio()] + [
-        custom([(math.pi / 2.0, phi) for phi in phis]) for phis in ((0.0, 0.4, 2.5), (0.0, 1.1, 1.1))
+        custom([BlochPoint(math.pi / 2.0, phi) for phi in phis]) for phis in ((0.0, 0.4, 2.5), (0.0, 1.1, 1.1))
     ]
     forms = np.array([optimize_module._copy_forms(np.column_stack(s.states()), embed, 2, 1) for s in sets])
     rng = np.random.default_rng(9)
@@ -690,7 +691,7 @@ def test_max_min_polish_reaches_the_optimum_with_unequal_multipliers():
     # unequal; the economic phase-covariant cloner reaches F_PHASE on every
     # equatorial state, and a softmin of sharpness 500 alone stops 1.9e-4 short
     phases = (54.07, 136.6, 212.4, 293.88, 352.35)
-    five = custom([(math.pi / 2.0, math.radians(phi)) for phi in phases])
+    five = custom([BlochPoint(math.pi / 2.0, math.radians(phi)) for phi in phases])
     res = optimize(five, OptimizationConfig(restarts=50))
     assert F_PHASE - 1e-8 <= res.objective <= F_PHASE + 1e-9
 
@@ -765,7 +766,7 @@ def test_degenerate_cells_are_those_with_coinciding_states(r):
         )
 
     expected = np.array([[coinciding(i, j) for j in range(r)] for i in range(r)])
-    assert np.array_equal(ScanGrid(r, np.zeros((r, r))).degenerate_mask, expected)
+    assert np.array_equal(_coinciding(*np.indices((r, r))), expected)
     rows = scan_csv(r, ((i, j, 0.9) for i in range(r) for j in range(r))).splitlines()[1:]
     assert [row.split(",")[3] == "true" for row in rows] == expected.ravel().tolist()
 
@@ -798,8 +799,8 @@ def test_scan_grid_does_not_depend_on_the_exploration_tolerance(monkeypatch, res
     grid = scan_equator(resolution, seed)
     monkeypatch.setattr(optimize_module, "SCAN_CONFIG", replace(SCAN_CONFIG, tol=1e-3))
     tight = scan_equator(resolution, seed)
-    np.testing.assert_allclose(grid.fidelity, tight.fidelity, rtol=0.0, atol=1e-12)
-    assert grid.minimum_cells() == tight.minimum_cells()
+    np.testing.assert_allclose(grid, tight, rtol=0.0, atol=1e-12)
+    assert minimum_cells(grid)[0] == minimum_cells(tight)[0]
 
 
 @pytest.fixture(scope="module")
@@ -808,22 +809,23 @@ def scan8():
 
 
 def test_scan_grid_contents(scan8):
-    assert scan8.fidelity.shape == (8, 8)
+    assert scan8.shape == (8, 8)
     # cells with a repeated state are degenerate: the whole diagonal plus rows
     # and columns through zero
-    assert scan8.degenerate_mask[0, :].all()
-    assert scan8.degenerate_mask[:, 0].all()
-    assert scan8.degenerate_mask.diagonal().all()
-    ok = ~scan8.degenerate_mask
-    assert (scan8.fidelity[ok] >= F_PHASE - 1e-6).all()
-    assert (scan8.fidelity[ok] <= 1.0 + 1e-9).all()
+    degenerate = _coinciding(*np.indices(scan8.shape))
+    assert degenerate[0, :].all()
+    assert degenerate[:, 0].all()
+    assert degenerate.diagonal().all()
+    ok = ~degenerate
+    assert (scan8[ok] >= F_PHASE - 1e-6).all()
+    assert (scan8[ok] <= 1.0 + 1e-9).all()
 
 
 def test_scan_minimum_near_the_trio_cells(scan8):
     # the exact minima (120, 240) and (240, 120) are off-grid at resolution 8;
     # the observed minima must sit within one cell of them
     step = 360.0 / 8
-    for i, j in scan8.minimum_cells(1e-6):
+    for i, j in minimum_cells(scan8)[0]:
         p2, p3 = i * step, j * step
         assert min(
             abs(p2 - 120.0) + abs(p3 - 240.0), abs(p2 - 240.0) + abs(p3 - 120.0)
@@ -831,7 +833,7 @@ def test_scan_minimum_near_the_trio_cells(scan8):
 
 
 def test_scan_csv_format(scan8):
-    cells = [(i, j, scan8.fidelity[i, j]) for i in range(8) for j in range(8)]
+    cells = [(i, j, scan8[i, j]) for i in range(8) for j in range(8)]
     lines = scan_csv(8, cells).splitlines()
     assert lines[0] == "phi2_deg,phi3_deg,fidelity,degenerate"
     assert len(lines) == 8 * 8 + 1
@@ -872,11 +874,12 @@ def test_scan_csv_matches_a_csv_writer(r):
 def test_scan_grid_is_exactly_symmetric(scan8):
     # images of every cell under swapping phi2 and phi3, relabeling the
     # reference state, and complex conjugation
-    r = scan8.resolution
+    r = len(scan8)
     i, j = np.indices((r, r))
+    degenerate = _coinciding(i, j)
     for pi, pj in ((j, i), (-i % r, (j - i) % r), (-i % r, -j % r)):
-        assert np.array_equal(scan8.fidelity, scan8.fidelity[pi, pj])
-        assert np.array_equal(scan8.degenerate_mask, scan8.degenerate_mask[pi, pj])
+        assert np.array_equal(scan8, scan8[pi, pj])
+        assert np.array_equal(degenerate, degenerate[pi, pj])
 
 
 @pytest.fixture
@@ -905,7 +908,7 @@ def test_scan_searches_once_per_orbit(fake_search, resolution, orbits):
     firsts = {}
     for i in range(resolution):
         for j in range(resolution):
-            firsts.setdefault(grid.fidelity[i, j], i * resolution + j)
+            firsts.setdefault(grid[i, j], i * resolution + j)
     for k in range(orbits):
         expected = optimize_module._starts([(3, firsts[k + 1.0])], 8, 12)[0]
         assert starts[k].tobytes() == expected.tobytes()
@@ -915,7 +918,7 @@ def test_scan_progress_fires_per_cell_in_row_major_order(fake_search):
     seen = []
     grid = scan_equator(9, progress=lambda i, j, value: seen.append((i, j, value)))
     assert [(i, j) for i, j, _ in seen] == [(i, j) for i in range(9) for j in range(9)]
-    assert [value for _, _, value in seen] == grid.fidelity.ravel().tolist()
+    assert [value for _, _, value in seen] == grid.ravel().tolist()
     # the 12 orbits of resolution 9 are one batch
     assert len(fake_search) == 1
 
@@ -926,6 +929,6 @@ def test_scan_reports_each_cell_as_soon_as_its_orbit_is_solved(fake_search):
     batches_at_report = []
     grid = scan_equator(24, progress=lambda i, j, value: batches_at_report.append(len(fake_search)))
     assert len(fake_search) == math.ceil(61 / optimize_module.SCAN_BATCH) > 1
-    solved_by = np.ceil(grid.fidelity.ravel() / optimize_module.SCAN_BATCH)
+    solved_by = np.ceil(grid.ravel() / optimize_module.SCAN_BATCH)
     first_new = np.maximum.accumulate(solved_by)
     assert batches_at_report == first_new.tolist()

@@ -124,7 +124,7 @@ def test_empty_set_rejected():
     )
 )
 def test_json_round_trip(pairs):
-    s = custom(pairs, label="roundtrip")
+    s = custom([BlochPoint(*pair) for pair in pairs], label="roundtrip")
     back = InputSet.from_json(input_set_json(s))
     assert back.label == s.label
     assert all(
