@@ -65,6 +65,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_SELF_CHECK = 3
 EXIT_BUDGET = 4
+SET_HELP = "trio | bb84 | six-state | tetrahedron | equator:<count> | pair:<deg> | inline JSON | path"
+SUMMARY_SUFFIX = ".summary.json"  # the scan summary's file, next to the --out CSV
 
 
 # ---------------------------------------------------------------------------
@@ -181,15 +183,11 @@ def _result_doc(res: OptimizationResult) -> dict:
 # verify
 
 
-def _is_equatorial(input_set: InputSet) -> bool:
-    return all(abs(p.theta - math.pi / 2.0) < 1e-12 for p in input_set.points)
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     v = resolve_machine(args.machine)
     input_set = resolve_set(args.set)
-    equatorial = _is_equatorial(input_set)
+    equatorial = all(abs(p.theta - math.pi / 2.0) < 1e-12 for p in input_set.points)
     if v.copies != 2 and not equatorial:
         raise UsageError(f"machine {args.machine!r} clones equatorial sets only")
     table = copy_fidelity(v, input_set.points, range(min(v.copies, 2)))
@@ -349,7 +347,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         # without --out the summary follows the CSV on stdout
         _write_outputs(None, csv_text + summary_text, manifest)
     else:
-        _write_outputs(args.out, csv_text, manifest, {args.out + ".summary.json": summary_text})
+        _write_outputs(args.out, csv_text, manifest, {args.out + SUMMARY_SUFFIX: summary_text})
     return EXIT_OK if located else EXIT_SELF_CHECK
 
 
@@ -407,11 +405,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a known machine against its closed-form values")
     p.add_argument("--machine", required=True, help="pqcm-economic | pqcm-ancilla | uqcm | nclone:<n>")
-    p.add_argument("--set", required=True, help="trio | bb84 | six-state | tetrahedron | equator:<count>")
+    p.add_argument("--set", required=True, help=SET_HELP)
     common(p)
 
     p = sub.add_parser("optimize", help="search for the best machine on an input set")
-    p.add_argument("--set", required=True, help="named set, pair:<deg>, equator:<count>, JSON, or path")
+    p.add_argument("--set", required=True, help=SET_HELP)
     p.add_argument("--mode", choices=("maxmin", "equalfid"), default="maxmin")
     p.add_argument("--symmetric", action="store_true")
     p.add_argument("--economic", action="store_true")
@@ -458,7 +456,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed >= 2**64:
             raise UsageError(f"seed {args.seed} must be < 2**64")
         if args.out is not None:
-            _check_out(args.out)
+            # every file the command can write, refused before any work
+            _check_out(args.out, *(SUMMARY_SUFFIX,) if args.command == "scan" else ())
         return command[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

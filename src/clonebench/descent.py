@@ -9,8 +9,8 @@ import numpy as np
 MAX_ITERS = 15000  # descent iteration cap, scipy L-BFGS-B's default
 ARMIJO_C1 = 1e-4  # sufficient-decrease constant of the backtracking line search
 MIN_STEP = 1e-20  # a line search whose step falls below this has failed
-# members per slice of the inverse-Hessian update; unsliced, its temporaries
-# raise peak RSS by 0.15 MB in a res-9 scan and 0.55 MB at res 24
+# members per slice of the inverse-Hessian update, where optimize explores all its restarts:
+# unsliced, `optimize --set trio --ancilla-dim 8` peaks at 78.5, not 40.5 MiB (tracemalloc)
 UPDATE_SLICE = 32
 
 

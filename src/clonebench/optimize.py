@@ -14,11 +14,11 @@ the one gradient is taken, so no descent drifts along the column scales or
 c1's part along c0, which leave the value unchanged. The hard min is smoothed
 with a log-sum-exp and re-evaluated exactly.
 
-OptimizationConfig sets restarts, the exploration tolerance, the objective
-mode, the parameterization (symmetric, ancilla_dim, copies) and the seed,
-which keys the counter-based streams of normal starts (`_starts`). The
-winner of the exploration is polished with tolerances near machine precision,
-for max-min through the softmin sharpnesses POLISH_SHARPNESS in turn.
+OptimizationConfig sets `optimize`'s restarts, objective mode,
+parameterization (symmetric, ancilla_dim, copies) and seed, which keys the
+counter-based streams of normal starts (`_starts`). The winner of a loose
+exploration is polished with tolerances near machine precision, for max-min
+through the softmin sharpnesses POLISH_SHARPNESS in turn.
 
 Each batched descent is one call of the module attribute `minimize`: `optimize`
 explores once and polishes once per stage, `scan_equator` twice per batch."""
@@ -39,6 +39,7 @@ from .states import TWO_PI, BlochPoint, InputSet, bloch_to_state, equatorial_tri
 SMOOTH_SHARPNESS = 500.0  # log-sum-exp softening of the hard min
 POLISH_SHARPNESS = (5e2, 5e3, 5e4, 5e5, 5e6, 5e7)  # the max-min polish stages
 PENALTY_WEIGHT = 100.0  # weight of the fidelity variance in equal_fidelity_penalty
+EXPLORE_TOL = 1e-6  # objective-improvement tolerance of optimize's exploration
 
 minimize = _descend  # every search's descents go through this attribute
 
@@ -46,7 +47,6 @@ minimize = _descend  # every search's descents go through this attribute
 @dataclass(frozen=True)
 class OptimizationConfig:
     restarts: int = 200
-    tol: float = 1e-6  # objective-improvement tolerance of the exploration restarts
     mode: str = "max_min"  # or "equal_fidelity_penalty"
     symmetric: bool = False
     ancilla_dim: int = 1  # 1 is the economic (ancilla-free) machine
@@ -62,9 +62,6 @@ class OptimizationConfig:
             raise ValueError("restarts must be >= 1")
         if self.copies < 1:
             raise ValueError("copies must be >= 1")
-        # NaN fails the comparison too
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError(f"tol {self.tol} must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -311,24 +308,24 @@ def _starts(keys, count: int, size: int) -> np.ndarray:
     return radius * np.cos((h & 0xFFFFFFFF) * (TWO_PI * 2.0**-32))
 
 
-def _search(forms: np.ndarray, d: int, cfg: OptimizationConfig, starts: np.ndarray):
+def _search(forms: np.ndarray, d: int, mode: str, tol: float, starts: np.ndarray):
     """Best raw parameters for each of p problems (forms stacked, starts
-    (p, s, 4d)), their exact objectives and how many starts reached each
-    winner's basin. One descent explores every start; a degenerate one is
-    dropped, and the first start to beat the best exact objective by more than
-    1e-9 wins. One descent polishes the winners, one per POLISH_SHARPNESS stage
-    for max-min. A descended point is canonical: its columns are orthonormal."""
+    (p, s, 4d)) in mode, their exact objectives and how many starts reached
+    each winner's basin. One descent explores every start, at ftol=tol; a
+    degenerate one is dropped, and the first start to beat the best exact
+    objective by more than 1e-9 wins. One descent polishes the winners, one per
+    POLISH_SHARPNESS stage for max-min. Descended columns are orthonormal."""
     p, s, n = starts.shape
 
     def objective(width, sharpness=SMOOTH_SHARPNESS):
-        return lambda x, idx: _search_objective(x, forms, d, cfg.mode, sharpness, idx, width)
+        return lambda x, idx: _search_objective(x, forms, d, mode, sharpness, idx, width)
 
     def exact(x, width):  # -inf at a degenerate row
         *_, bad, _, fids = _fidelity_stack(x, forms, d, np.arange(len(x)), width)
-        return np.where(bad, -math.inf, _exact_objective(fids, cfg.mode))
+        return np.where(bad, -math.inf, _exact_objective(fids, mode))
 
     # exploration only needs to find the best basin; the winner is polished after
-    res = minimize(objective(s), starts.reshape(p * s, n), ftol=cfg.tol)
+    res = minimize(objective(s), starts.reshape(p * s, n), ftol=tol)
     values = np.where(np.isfinite(res.fun), exact(res.x, s), -math.inf).reshape(p, s)
     best_val, pick = np.full(p, -math.inf), np.zeros(p, int)
     for r in range(s):
@@ -342,7 +339,7 @@ def _search(forms: np.ndarray, d: int, cfg: OptimizationConfig, starts: np.ndarr
     # softmin's maximizer keeps a spread of order 1 / sharpness, and so a value
     # below the optimum, wherever the optimal multipliers are unequal
     best_x = x = res.x.reshape(p, s, n)[np.arange(p), pick]
-    for sharpness in POLISH_SHARPNESS if cfg.mode == "max_min" else (SMOOTH_SHARPNESS,):
+    for sharpness in POLISH_SHARPNESS if mode == "max_min" else (SMOOTH_SHARPNESS,):
         x = minimize(objective(1, sharpness), x, ftol=1e-15, gtol=1e-12).x
         val = exact(x, 1)
         better = val >= best_val
@@ -357,7 +354,7 @@ def optimize(input_set: InputSet, cfg: OptimizationConfig) -> OptimizationResult
     embed = _sym_embedding(copies, cfg.ancilla_dim) if cfg.symmetric else np.eye(2**copies * cfg.ancilla_dim)
     d = embed.shape[1]
     forms = _copy_forms(np.column_stack(input_set.states())[None], embed, copies, cfg.ancilla_dim)
-    best_x, _, hits = _search(forms, d, cfg, _starts([(cfg.seed,)], cfg.restarts, 4 * d))
+    best_x, _, hits = _search(forms, d, cfg.mode, EXPLORE_TOL, _starts([(cfg.seed,)], cfg.restarts, 4 * d))
     ym, _, _, fids = _fidelity_stack(best_x, forms, d)
     q = (ym[0, :2] + 1j * ym[0, 2:]).T  # the winner's orthonormal columns
     fids = fids.reshape(copies, -1)
@@ -378,12 +375,13 @@ def optimize(input_set: InputSet, cfg: OptimizationConfig) -> OptimizationResult
 # contour scan over trio phases
 
 
-# the per-orbit search of the scan: the equal-fidelity/symmetric conditions
-# with a cheap schedule of 8 random starts per orbit. In penalty mode the
-# polish minimizes the same objective as the exploration, so the exploration
-# only has to rank each orbit's starts; the polish, at ftol=1e-15 and
-# gtol=1e-12, sets every reported value
-SCAN_CONFIG = OptimizationConfig(restarts=8, tol=3e-2, mode="equal_fidelity_penalty", symmetric=True)
+# the exploration tolerance of the scan's search, one start per orbit. The
+# polish minimizes the same penalty objective and sets every value, so the
+# exploration only brings the start into its basin. One start gave the grids of
+# 8 starts to within 6.7e-16, with the same minimum cells, on res 9 seeds 0-99,
+# res 24 seeds 0-9 and res 36 seeds 0-11; the polish alone left one res-36
+# orbit, gaps (2, 17, 17) at seed 2, 5.3e-11 short
+SCAN_EXPLORE_TOL = 3e-2
 # a one-degree grid; a scan builds resolution**2 orbit keys before any output
 MAX_RESOLUTION = 360
 # orbits solved together, in one exploration and one polish descent; a scan
@@ -404,14 +402,13 @@ def scan_equator(resolution: int, seed: int = 0, progress=None) -> np.ndarray:
     """The (resolution, resolution) grid of best objectives, row index phi2,
     for trios {0, phi2, phi3} over a square grid of phases in [0, 360)
     degrees. One search per orbit of the trio-phase symmetry group fills
-    every cell of the orbit, so the grid is exactly symmetric; its starts
-    come from the stream (seed, index of the orbit's first cell in row-major
-    order). `_search` solves SCAN_BATCH orbits at a time, in that order, and
-    `progress(i, j, value)` fires once per cell in row-major order as soon as
-    the cell's orbit is solved."""
+    every cell of the orbit, so the grid is exactly symmetric; its one start
+    is draw 0 of the stream (seed, index of the orbit's first cell in
+    row-major order). `_search` solves SCAN_BATCH orbits at a time, in that
+    order, and `progress(i, j, value)` fires once per cell in row-major order
+    as soon as the cell's orbit is solved."""
     if not 8 <= resolution <= MAX_RESOLUTION:
         raise ValueError(f"resolution must be in 8..{MAX_RESOLUTION}")
-    cfg = replace(SCAN_CONFIG, seed=seed)
     phis = np.linspace(0.0, TWO_PI, resolution, endpoint=False)
     kets = np.array([bloch_to_state(BlochPoint(math.pi / 2.0, phi)) for phi in phis])
     keys = [_orbit_key(i, j, resolution) for i in range(resolution) for j in range(resolution)]
@@ -424,8 +421,9 @@ def scan_equator(resolution: int, seed: int = 0, progress=None) -> np.ndarray:
         batch = firsts[b : b + SCAN_BATCH]
         trios = kets[np.array([(0, *divmod(c, resolution)) for c in batch])]  # (p, 3, 2)
         forms = _copy_forms(trios.swapaxes(1, 2), embed, 2, 1)
-        starts = _starts([(seed, c) for c in batch], cfg.restarts, 4 * d)
-        solved.update(zip((keys[c] for c in batch), _search(forms, d, cfg, starts)[1].tolist()))
+        starts = _starts([(seed, c) for c in batch], 1, 4 * d)
+        values = _search(forms, d, "equal_fidelity_penalty", SCAN_EXPLORE_TOL, starts)[1]
+        solved.update(zip((keys[c] for c in batch), values.tolist()))
         # every cell before the next batch's first orbit now has its value
         end = firsts[b + SCAN_BATCH] if b + SCAN_BATCH < len(firsts) else grid.size
         cells = [(*divmod(c, resolution), solved[keys[c]]) for c in range(batch[0], end)]
@@ -442,9 +440,7 @@ def scan_equator(resolution: int, seed: int = 0, progress=None) -> np.ndarray:
 
 def optimize_n(cfg: OptimizationConfig) -> OptimizationResult:
     """Best economic symmetric 1->n machine for the 120-degree trio: the
-    `optimize` search with n = cfg.copies copies inside the symmetric
-    subspace."""
-    n = cfg.copies
-    if not 2 <= n <= 8:
-        raise ValueError(f"copies={n} outside 2..8")
+    `optimize` search with n = cfg.copies copies in the symmetric subspace."""
+    if not 2 <= cfg.copies <= 8:
+        raise ValueError(f"copies={cfg.copies} outside 2..8")
     return optimize(equatorial_trio(), replace(cfg, symmetric=True, ancilla_dim=1))

@@ -52,14 +52,18 @@ def _dumps(doc, indent: str = "\n") -> str:
     return json.dumps(doc, indent=2).replace("\n", indent)
 
 
-def _check_out(out: str) -> None:
+def _check_out(out: str, *suffixes: str) -> None:
     """Refuse, before any work, an --out that names no file or a directory,
-    or whose directory is missing or not writable."""
+    whose directory is missing or not writable, or next to which the manifest
+    or a side output out + suffix would be written over a directory."""
     parent = os.path.dirname(out) or "."
     if not os.path.basename(out) or os.path.isdir(out):
         raise UsageError(f"--out {out!r} is not a file name")
     if not os.access(parent, os.W_OK):
         raise UsageError(f"cannot write {out!r}: {parent!r} is missing or not writable")
+    for path in (out + ".manifest.json", *(out + suffix for suffix in suffixes)):
+        if os.path.isdir(path):
+            raise UsageError(f"cannot write {path!r}: it is a directory")
 
 
 def _write_outputs(

@@ -435,25 +435,38 @@ def test_sets_at_the_schema_limits_still_verify(capsys):
     assert resolve_set(spec).points[0].phi == 0.0
 
 
+_OUT_COMMANDS = {
+    "verify": ["verify", "--machine", "uqcm", "--set", "trio"],
+    "scan": ["scan", "--resolution", "8"],
+    "optimize": ["optimize", "--set", "trio", "--restarts", "1"],
+    "nclone": ["nclone", "--n", "2", "--restarts", "1"],
+}
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "target, command",
     [
-        ["verify", "--machine", "uqcm", "--set", "trio"],
-        ["scan", "--resolution", "8"],
-        ["optimize", "--set", "trio", "--restarts", "1"],
-        ["nclone", "--n", "2", "--restarts", "1"],
-    ],
-    ids=["verify", "scan", "optimize", "nclone"],
+        (target, command)
+        for target in ("missing-directory", "directory", "empty", "manifest-directory")
+        for command in _OUT_COMMANDS
+    ]
+    + [("summary-directory", "scan")],
 )
-@pytest.mark.parametrize("target", ["missing-directory", "directory", "empty"])
-def test_unwritable_out_exits_2(tmp_path, capsys, argv, target):
-    # refused before the command runs, so nothing reaches stdout
-    out = {"missing-directory": tmp_path / "missing" / "out", "directory": tmp_path, "empty": ""}
-    assert main([*argv, "--out", str(out[target])]) == 2
+def test_unwritable_out_exits_2(tmp_path, capsys, target, command):
+    # refused before the command runs, so nothing reaches stdout; a manifest
+    # or scan summary that would overwrite a directory is refused as early as
+    # an unwritable --out itself, so the --out file is not created either
+    side = {"manifest-directory": ".manifest.json", "summary-directory": ".summary.json"}
+    if target in side:
+        (tmp_path / ("out" + side[target])).mkdir()
+    unwritable = {"missing-directory": tmp_path / "missing" / "out", "directory": tmp_path, "empty": ""}
+    out = unwritable.get(target, tmp_path / "out")
+    assert main([*_OUT_COMMANDS[command], "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error:")
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
 
 
 def test_negative_environment_seed_exits_2(monkeypatch, capsys):
@@ -732,7 +745,7 @@ GOLDEN_DIGESTS = {
     "optimize --set trio --restarts 2 --symmetric --format csv":
         "777c473d67318fee01e142e2c69a93fc009f12a32c88602fb2e6b7eec7fc0ba8",
     "scan --resolution 8":
-        "7fbd6219be31857884eacf13bb7e3e7c5f2a2f845b3544cb332276d1a01a61d4",
+        "b6ff8462d71401f00bb47a85d090283524af11f7a5fcdfad476beb6e88037c68",
     "nclone --n 3 --restarts 1":
         "c2524af7afc46036e5a903e250aa30313fe8678ac1db70048901f2712c82e711",
 }
